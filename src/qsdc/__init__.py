@@ -3,7 +3,7 @@
 The package is organized by pipeline stage:
 
 * :mod:`qsdc.core` — exact two-qubit states, local unitaries, fidelity.
-* :mod:`qsdc.noise` — channels, heralded loss, memory storage/retrieval.
+* :mod:`qsdc.noise` — channels, memory models, calibration.
 * :mod:`qsdc.measurement` — local measurements and Bell-state analysis.
 * :mod:`qsdc.tomography` — nine-setting state tomography with error bars.
 * :mod:`qsdc.protocol` — full communication sessions with security checks.
@@ -37,14 +37,14 @@ from .errors import (
     ValidationError,
 )
 from .measurement import (
+    ERASURE,
     BsmMode,
-    BsmOutcome,
     LocalBasis,
     basis_kets,
     bell_overlaps,
-    bsm,
     outcome_probs,
     resolve_bsm,
+    resolve_outcomes,
     sample_counts,
 )
 from .noise import (
@@ -53,22 +53,19 @@ from .noise import (
     NoiseKind,
     apply_channel,
     calibrate_noise,
-    memory_store_retrieve,
-    transmit_photon,
 )
 from .protocol import (
     AbortStage,
     BasisPolicy,
-    CheckRecord,
     EncodedMessage,
     EveKind,
     EveStrategy,
+    PairStates,
     SessionConfig,
     SessionResult,
     StageTrace,
     TimingPlan,
     encode_message,
-    estimate_qber,
     intercept_resend,
     plan_timing,
     result_csv_header,

@@ -25,12 +25,15 @@ import os
 import sys
 
 from .config import SWEEP_KEYS, SweepSpec, load_config, parse_config_text, build_settings
-from .core import BellLabel, bell_density, bell_state, density_to_csv
+from .core import BELL_ORDER, BellLabel, bell_state, density_to_csv
 from .errors import CapacityError, ConfigParseError, QsdcError, TimingError, ValidationError
-from .noise import ChannelSpec, NoiseKind, apply_channel, calibrate_noise
+# ``apply_channel`` is no longer called here, but stays importable from this
+# module: bench/spans.py patches ``qsdc.cli.apply_channel`` by name.
+from .noise import NoiseKind, apply_channel, calibrate_noise  # noqa: F401
 from .protocol import (
     EveKind,
     EveStrategy,
+    PairStates,
     _fmt,
     result_csv_header,
     result_csv_row,
@@ -62,13 +65,16 @@ def _seed_override() -> int | None:
     return value
 
 
-def _load_settings(path: str):
+def _read_config(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise ConfigParseError(f"cannot read config file {path!r}: {exc}") from None
-    return load_config(text, seed_override=_seed_override())
+
+
+def _load_settings(path: str):
+    return load_config(_read_config(path), seed_override=_seed_override())
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -97,40 +103,37 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        base_values = parse_config_text(fh.read())
+    base_values = parse_config_text(_read_config(args.config))
     spec = SweepSpec(param=args.param, grid=_parse_grid(args.grid), trials=args.trials)
     caster = SWEEP_KEYS[spec.param]
-    print("param,value,trial," + result_csv_header())
     override = _seed_override()
-    for point_idx, raw_value in enumerate(spec.grid):
-        value = int(round(raw_value)) if caster is int else float(raw_value)
-        point_values = dict(base_values)
-        point_values[spec.param] = value
-        settings = build_settings(point_values, seed_override=override)
+    # Validate every grid point, and run every session, before emitting
+    # anything: a failing point leaves stdout empty rather than a partial CSV.
+    values = [int(round(raw)) if caster is int else float(raw) for raw in spec.grid]
+    points = [
+        build_settings({**base_values, spec.param: value}, seed_override=override) for value in values
+    ]
+    lines = ["param,value,trial," + result_csv_header()]
+    for point_idx, (value, settings) in enumerate(zip(values, points)):
+        value_text = str(value) if caster is int else _fmt(value)
         for trial in range(spec.trials):
             trial_seed = derive_seed(settings.seed, point_idx, trial)
             result = run_session(settings.config, settings.message, trial_seed)
-            value_text = str(value) if caster is int else _fmt(value)
-            print(
+            lines.append(
                 f"{spec.param},{value_text},{trial},"
                 + result_csv_row(settings.config, result, trial_seed)
             )
+    print("\n".join(lines))
     return EXIT_OK
 
 
 def _cmd_tomo(args: argparse.Namespace) -> int:
     settings = _load_settings(args.config)
-    cfg = settings.config
     target = BellLabel(args.target)
-    # The pair state under test: the chosen Bell state sent through the
-    # session's noise stack (emission noise and sender-memory dephasing on
-    # side A, hop noise on the flying qubit, receiver-memory dephasing on B).
-    rho = bell_density(target)
-    rho = apply_channel(cfg.source_noise, "A", rho)
-    rho = apply_channel(ChannelSpec(NoiseKind.DEPHASING, cfg.memory_a.dephase_p), "A", rho)
-    rho = apply_channel(cfg.hop_noise, "A", rho)
-    rho = apply_channel(ChannelSpec(NoiseKind.DEPHASING, cfg.memory_b.dephase_p), "B", rho)
+    # The pair state under test: the session's encoded pair carrying the
+    # code that announces the target (code index k announces BELL_ORDER[k]),
+    # through the configured noise stack with no attacker.
+    rho = PairStates(settings.config)("encoded", code=BELL_ORDER.index(target))
 
     data = simulate_tomography(rho, args.shots, stream_rng(settings.seed, "tomo"))
     report = fidelity_with_error(

@@ -12,13 +12,14 @@ Exactly one of ``message`` (a literal bit string) or ``message_random_bits``
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 from .errors import ConfigParseError, ValidationError
 from .measurement import BsmMode
-from .noise import ChannelSpec, MemorySpec, NoiseKind
-from .protocol import BasisPolicy, EveKind, EveStrategy, SessionConfig
+from .noise import NoiseKind
+from .protocol import BasisPolicy, EveKind, SessionConfig
 from .rng import random_bits
 
 
@@ -128,6 +129,24 @@ def parse_config_text(text: str) -> dict[str, object]:
     return values
 
 
+def _from_keys(cls, values: dict[str, object], prefix: str = ""):
+    """Build dataclass ``cls`` from the keys ``prefix + field name``.
+
+    A field whose default is itself a dataclass (a channel, memory or
+    attacker spec) is built from the keys ``<field>_<subfield>``.  Fields
+    without a key keep the dataclass default, so the defaults live only in
+    the dataclasses.
+    """
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        key = prefix + f.name
+        if dataclasses.is_dataclass(f.default):
+            kwargs[f.name] = _from_keys(type(f.default), values, key + "_")
+        elif key in values:
+            kwargs[f.name] = values[key]
+    return cls(**kwargs)
+
+
 @dataclass(frozen=True)
 class RunSettings:
     """A fully resolved run: validated config, seed, and message bits."""
@@ -150,48 +169,13 @@ def build_settings(values: dict[str, object], seed_override: int | None = None) 
         ValidationError: On out-of-range values, or when the message is
             given neither or both ways.
     """
-    def take(key: str, default):
-        return values.get(key, default)
-
-    seed = int(take("seed", 0))
+    seed = int(values.get("seed", 0))
     if seed_override is not None:
         seed = seed_override
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
 
-    config = SessionConfig(
-        n_pairs=take("n_pairs", 1000),
-        check_fraction=take("check_fraction", 0.2),
-        qber_threshold=take("qber_threshold", 0.12),
-        distance_m=take("distance_m", 3.0),
-        op_time_ns=take("op_time_ns", 40.0),
-        light_speed_m_per_ns=take("light_speed_m_per_ns", 0.3),
-        source_noise=ChannelSpec(take("source_noise_kind", NoiseKind.NONE), take("source_noise_p", 0.0)),
-        hop_noise=ChannelSpec(take("hop_noise_kind", NoiseKind.NONE), take("hop_noise_p", 0.0)),
-        transmittance=take("transmittance", 1.0),
-        memory_a=MemorySpec(
-            take("memory_a_eta0", 1.0),
-            take("memory_a_tau_ns", math.inf),
-            take("memory_a_dephase_p", 0.0),
-        ),
-        memory_b=MemorySpec(
-            take("memory_b_eta0", 1.0),
-            take("memory_b_tau_ns", math.inf),
-            take("memory_b_dephase_p", 0.0),
-        ),
-        storage_a_ns=take("storage_a_ns", 50.0),
-        storage_b_ns=take("storage_b_ns", 120.0),
-        bsm_mode=take("bsm_mode", BsmMode.IDEAL),
-        eve=EveStrategy(
-            take("eve_kind", EveKind.NONE),
-            take("eve_basis_policy", BasisPolicy.RANDOM_ZX),
-        ),
-        eve_on_encoded_hop=take("eve_on_encoded_hop", False),
-        gen_prob_per_cycle=take("gen_prob_per_cycle", 1.0),
-        cycle_time_ns=take("cycle_time_ns", 500.0),
-        duty_cycles_per_period=take("duty_cycles_per_period", 2600),
-        period_ms=take("period_ms", 10.0),
-    )
+    config = _from_keys(SessionConfig, values)
 
     has_literal = "message" in values
     has_random = "message_random_bits" in values

@@ -12,9 +12,9 @@ import enum
 import math
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 
-from .core import BELL_ORDER, KET_H, KET_V, BellLabel, bell_state
+from .core import BELL_ORDER, KET_H, KET_V, bell_state
 
 OUTCOME_LABELS = ("++", "+-", "-+", "--")
 
@@ -105,21 +105,6 @@ class BsmMode(enum.Enum):
     LINEAR_OPTICS = "linear_optics"
 
 
-class BsmOutcome(enum.Enum):
-    PHI_PLUS = "phi+"
-    PHI_MINUS = "phi-"
-    PSI_PLUS = "psi+"
-    PSI_MINUS = "psi-"
-    ERASURE = "erasure"
-
-
-_LABEL_TO_OUTCOME = {
-    BellLabel.PHI_PLUS: BsmOutcome.PHI_PLUS,
-    BellLabel.PHI_MINUS: BsmOutcome.PHI_MINUS,
-    BellLabel.PSI_PLUS: BsmOutcome.PSI_PLUS,
-    BellLabel.PSI_MINUS: BsmOutcome.PSI_MINUS,
-}
-
 _BELL_KETS = np.stack([bell_state(label) for label in BELL_ORDER])
 
 
@@ -132,26 +117,37 @@ def bell_overlaps(state: NDArray[np.complex128]) -> NDArray[np.float64]:
     return np.clip(probs, 0.0, None)
 
 
-def resolve_bsm(overlaps: NDArray[np.float64], mode: BsmMode, u: float) -> BsmOutcome:
-    """Map one uniform draw to a Bell-measurement outcome.
+def resolve_outcomes(probs: NDArray[np.float64], u: ArrayLike) -> NDArray[np.intp]:
+    """Map uniform draws to outcome indices by inverse CDF.
 
-    The Bell projection is sampled by inverse CDF over the canonical state
-    order; in ``LINEAR_OPTICS`` mode a phi projection is then reported as
-    ``ERASURE``.  Factored out so batch simulations can feed pre-drawn
-    uniforms and stay stream-stable.
+    The one sampling rule of the simulator: with ``cum`` the cumulative sum
+    of ``probs`` normalized to one, each uniform ``u`` gives the number of
+    entries of ``cum`` that are ``<= u`` (``searchsorted`` from the right),
+    capped at 3 against rounding in the last entry.  Vectorized over ``u``,
+    so batch simulations can feed pre-drawn uniforms and stay stream-stable.
+
+    Raises:
+        ValueError: If ``probs`` has no positive mass.
     """
-    p = np.clip(np.asarray(overlaps, dtype=float), 0.0, None)
+    p = np.clip(np.asarray(probs, dtype=float), 0.0, None)
     total = p.sum()
     if total <= 0.0:
-        raise ValueError("overlaps must contain positive mass")
-    cum = np.cumsum(p / total)
-    k = min(int(np.searchsorted(cum, u, side="right")), 3)
-    label = BELL_ORDER[k]
-    if mode is BsmMode.LINEAR_OPTICS and label in (BellLabel.PHI_PLUS, BellLabel.PHI_MINUS):
-        return BsmOutcome.ERASURE
-    return _LABEL_TO_OUTCOME[label]
+        raise ValueError("probabilities must contain positive mass")
+    return np.minimum(np.searchsorted(np.cumsum(p / total), u, side="right"), 3)
 
 
-def bsm(state: NDArray[np.complex128], mode: BsmMode, rng: np.random.Generator) -> BsmOutcome:
-    """Perform one sampled Bell-state measurement on a two-qubit state."""
-    return resolve_bsm(bell_overlaps(state), mode, float(rng.random()))
+#: Outcome index ``resolve_bsm`` reports for a linear-optics erasure.
+ERASURE = -1
+
+
+def resolve_bsm(overlaps: NDArray[np.float64], mode: BsmMode, u: ArrayLike) -> NDArray[np.intp]:
+    """Map uniform draws to Bell-measurement outcomes.
+
+    Outcome ``k`` is the Bell state ``BELL_ORDER[k]``, drawn from the
+    overlaps by :func:`resolve_outcomes`.  In ``LINEAR_OPTICS`` mode a phi
+    projection (``k`` 0 or 1) is reported as ``ERASURE`` instead.
+    """
+    k = resolve_outcomes(overlaps, u)
+    if mode is BsmMode.LINEAR_OPTICS:
+        return np.where(k < 2, ERASURE, k)
+    return k

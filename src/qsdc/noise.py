@@ -1,8 +1,9 @@
-"""Noise channels, lossy transmission, and memory storage/retrieval.
+"""Noise channels, memory models, and channel calibration.
 
 Channels act on one side of a two-qubit state and are trace preserving.
-Loss is heralded: a failed transmission or retrieval returns a flag and the
-caller discards the pair, rather than mixing in a vacuum component.
+Loss is heralded: the session engine draws each pair's transmission and
+retrieval survival and discards a failed pair, rather than mixing in a
+vacuum component.
 """
 
 from __future__ import annotations
@@ -108,46 +109,6 @@ class MemorySpec:
         if math.isinf(self.tau_ns):
             return self.eta0
         return self.eta0 * math.exp(-duration_ns / self.tau_ns)
-
-
-def memory_store_retrieve(
-    state: NDArray[np.complex128],
-    side: str,
-    duration_ns: float,
-    spec: MemorySpec,
-    rng: np.random.Generator,
-) -> tuple[bool, NDArray[np.complex128]]:
-    """Store one side of a pair for a duration, then attempt retrieval.
-
-    Exactly one uniform draw is consumed per call, so outcome sequences are
-    reproducible regardless of the state passed in.
-
-    Returns:
-        ``(success, state_after)``.  On success the dephasing channel of the
-        memory has been applied to the stored side; on failure the state is
-        returned unchanged and the caller must discard the pair.
-    """
-    _check_side(side)
-    if duration_ns < 0.0:
-        raise ValueError(f"duration must be non-negative, got {duration_ns}")
-    success = bool(rng.random() < spec.efficiency(duration_ns))
-    if not success:
-        return False, np.asarray(state, dtype=complex).copy()
-    out = apply_channel(ChannelSpec(NoiseKind.DEPHASING, spec.dephase_p), side, state)
-    return True, out
-
-
-def transmit_photon(transmittance: float, rng: np.random.Generator) -> bool:
-    """Heralded photon transmission through a lossy link.
-
-    Args:
-        transmittance: Survival probability in [0, 1] (a tabletop filter
-            stack sits near 0.45; fiber links are far lower).
-        rng: Source of the single uniform draw.
-    """
-    if not (0.0 <= transmittance <= 1.0):
-        raise ValueError(f"transmittance must lie in [0, 1], got {transmittance}")
-    return bool(rng.random() < transmittance)
 
 
 def calibrate_noise(target_fidelity: float, kind: NoiseKind) -> float:

@@ -24,30 +24,23 @@ reproduce results exactly.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import (
-    BELL_ORDER,
-    BELL_TO_CODE,
-    BellLabel,
-    TwoBitCode,
-    apply_local,
-    bell_density,
-    encode_unitary,
-    lift_local,
-)
+from .core import BellLabel, TwoBitCode, apply_local, bell_density, encode_unitary, lift_local
 from .errors import CapacityError, TimingError, ValidationError
 from .measurement import (
+    ERASURE,
     BsmMode,
     LocalBasis,
     basis_kets,
     bell_overlaps,
     outcome_probs,
+    resolve_bsm,
+    resolve_outcomes,
 )
 from .noise import ChannelSpec, MemorySpec, NoiseKind, apply_channel
 from .rng import stream_rng
@@ -232,15 +225,18 @@ def plan_timing(config: SessionConfig) -> TimingPlan:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EncodedMessage:
     """Bit groups ready for transmission.
 
-    ``padded`` records whether a zero bit was appended to complete the last
-    group; ``bit_length`` is the original message length before padding.
+    ``codes`` holds one code index per two-bit group: index ``k`` is the
+    group ``tuple(TwoBitCode)[k]``, announced by the Bell state
+    ``BELL_ORDER[k]``.  ``padded`` records whether a zero bit was appended
+    to complete the last group; ``bit_length`` is the original message
+    length before padding.
     """
 
-    codes: tuple[TwoBitCode, ...]
+    codes: NDArray[np.int8]
     padded: bool
     bit_length: int
 
@@ -260,48 +256,19 @@ def encode_message(bits: str | Sequence[int]) -> EncodedMessage:
         bad = set(cleaned) - {"0", "1"}
         if bad:
             raise ValueError(f"message contains non-bit characters: {sorted(bad)}")
-        values = [int(c) for c in cleaned]
+        values = np.frombuffer(cleaned.encode("ascii"), dtype=np.int8) - ord("0")
     else:
-        values = []
-        for b in bits:
+        values = list(bits)
+        for b in values:
             if b not in (0, 1):
                 raise ValueError(f"message bits must be 0 or 1, got {b!r}")
-            values.append(int(b))
-    bit_length = len(values)
+        values = np.array(values, dtype=np.int8)
+    bit_length = values.size
     padded = bool(bit_length % 2)
     if padded:
-        values.append(0)
-    codes = tuple(
-        TwoBitCode.from_bits(values[k], values[k + 1]) for k in range(0, len(values), 2)
-    )
+        values = np.append(values, np.int8(0))
+    codes = values[0::2] * 2 + values[1::2]
     return EncodedMessage(codes=codes, padded=padded, bit_length=bit_length)
-
-
-@dataclass(frozen=True)
-class CheckRecord:
-    """One security-check measurement: shared basis and both outcomes."""
-
-    basis: LocalBasis
-    outcome_a: int
-    outcome_b: int
-    expect_equal: bool = True
-
-
-def estimate_qber(records: Iterable[CheckRecord]) -> float:
-    """Fraction of check records violating their expected correlation.
-
-    Returns NaN for an empty record list.
-    """
-    total = 0
-    errors = 0
-    for rec in records:
-        total += 1
-        agree = rec.outcome_a == rec.outcome_b
-        if agree != rec.expect_equal:
-            errors += 1
-    if total == 0:
-        return float("nan")
-    return errors / total
 
 
 class AbortStage(enum.Enum):
@@ -310,19 +277,76 @@ class AbortStage(enum.Enum):
     CHECK2 = "check2"
 
 
-#: Stage labels captured by a trace, in pipeline order.
+#: Stage labels of the pair pipeline, in order.
 STAGE_LABELS = ("emitted", "stored_both", "retrieved_sender", "retrieved_both", "encoded")
+
+_CODE_LIST = tuple(TwoBitCode)
+#: Basis index 0 is Z and 1 is X, for the attacker and the first check alike.
+_ZX_BASES = (LocalBasis.Z, LocalBasis.X)
+
+
+class PairStates:
+    """The state function of the pair pipeline for one configuration.
+
+    ``states(stage, e1, code, e2)`` is the exact 4x4 state of one discrete
+    branch after ``stage`` (one of ``STAGE_LABELS``).  A branch is the
+    intercept-resend basis on the distribution hop ``e1`` (-1 for no attack,
+    0 for Z, 1 for X), the code index ``code`` (see :class:`EncodedMessage`)
+    and the attack basis on the encoded hop ``e2``:
+
+    * ``emitted``: phi+ after source noise on side A;
+    * ``stored_both``: then the attack on the distribution hop (side B);
+    * ``retrieved_sender``: then sender-memory dephasing (side A);
+    * ``retrieved_both``: an unencoded pair after the encoded-hop attack,
+      hop noise (A) and receiver-memory dephasing (B);
+    * ``encoded``: the same path with the code's unitary applied on A
+      first, i.e. the pair as it enters the Bell analyzer.
+
+    Loss is heralded, so these are the surviving-path states.  The prefix
+    up to ``retrieved_sender`` is built once per ``e1`` and shared by every
+    later call on the same object; a session builds its own object, so
+    nothing is cached across sessions.  Returned arrays may be shared:
+    callers must not modify them.
+    """
+
+    def __init__(self, config: SessionConfig) -> None:
+        self._dephase_a = ChannelSpec(NoiseKind.DEPHASING, config.memory_a.dephase_p)
+        self._dephase_b = ChannelSpec(NoiseKind.DEPHASING, config.memory_b.dephase_p)
+        self._hop_noise = config.hop_noise
+        self._emitted = apply_channel(config.source_noise, "A", bell_density(BellLabel.PHI_PLUS))
+        self._prefix: dict[int, tuple[NDArray[np.complex128], NDArray[np.complex128]]] = {}
+
+    def __call__(
+        self, stage: str, e1: int = -1, code: int = 0, e2: int = -1
+    ) -> NDArray[np.complex128]:
+        if stage == "emitted":
+            return self._emitted
+        if e1 not in self._prefix:
+            stored = self._emitted
+            if e1 >= 0:
+                stored = intercept_resend(stored, "B", _ZX_BASES[e1])
+            self._prefix[e1] = (stored, apply_channel(self._dephase_a, "A", stored))
+        stored, rho = self._prefix[e1]
+        if stage == "stored_both":
+            return stored
+        if stage == "retrieved_sender":
+            return rho
+        if stage == "encoded":
+            rho = apply_local(encode_unitary(_CODE_LIST[code]), "A", rho)
+        elif stage != "retrieved_both":
+            raise ValueError(f"unknown stage {stage!r}; expected one of {STAGE_LABELS}")
+        if e2 >= 0:
+            rho = intercept_resend(rho, "A", _ZX_BASES[e2])
+        rho = apply_channel(self._hop_noise, "A", rho)
+        return apply_channel(self._dephase_b, "B", rho)
 
 
 @dataclass(frozen=True, eq=False)
 class StageTrace:
     """Exact pair state after each pipeline stage, for one message pair.
 
-    Stages follow ``STAGE_LABELS``: emission (source noise applied), both
-    halves in memory (attack on the distribution hop included), sender
-    retrieval, full retrieval of an unencoded pair after transit, and the
-    encoded pair as it enters the Bell analyzer carrying the first message
-    group.  Loss is heralded, so the trace shows the surviving-path states.
+    Stages follow ``STAGE_LABELS`` (see :class:`PairStates`); the branch is
+    that of the first message pair, carrying the first message group.
     """
 
     stages: tuple[tuple[str, NDArray[np.complex128]], ...]
@@ -360,8 +384,7 @@ class SessionResult:
     trace: StageTrace | None = field(default=None, compare=False)
 
 
-_CODE_LIST = tuple(TwoBitCode)
-_EVE_BASIS = {0: LocalBasis.Z, 1: LocalBasis.X}
+_ROLE_MSG, _ROLE_C1, _ROLE_C2 = 0, 1, 2
 
 
 def _draw_eve_bases(policy: BasisPolicy, n: int, rng: np.random.Generator) -> NDArray[np.int8]:
@@ -370,6 +393,89 @@ def _draw_eve_bases(policy: BasisPolicy, n: int, rng: np.random.Generator) -> ND
     if policy is BasisPolicy.ALWAYS_X:
         return np.ones(n, dtype=np.int8)
     return rng.integers(0, 2, size=n).astype(np.int8)
+
+
+def _check1_qber(
+    states: PairStates, check: NDArray[np.bool_], eve1: NDArray[np.int8], seed: int
+) -> float:
+    """Sampled error rate of the pre-encoding check over the pairs in ``check``.
+
+    Both halves of a check pair are measured in one shared basis, Z or X
+    with equal probability; an error is a disagreement.  All pairs of one
+    ``(e1, basis)`` branch are resolved together.  NaN when no pair took
+    part.
+    """
+    n = check.size
+    x_basis = stream_rng(seed, "check_basis").random(n)[check] >= 0.5
+    u = stream_rng(seed, "check_outcome").random(n)[check]
+    key = (eve1[check] + 1) * 2 + x_basis
+    errors = 0
+    for branch in np.flatnonzero(np.bincount(key)).tolist():
+        e1, x = divmod(branch, 2)
+        basis = _ZX_BASES[x]
+        probs = outcome_probs(states("retrieved_sender", e1 - 1), basis, basis)
+        k = resolve_outcomes(probs, u[key == branch])
+        errors += int(np.count_nonzero((k == 1) | (k == 2)))  # outcomes +- and -+
+    return errors / u.size if u.size else float("nan")
+
+
+def _decode_pairs(
+    states: PairStates,
+    config: SessionConfig,
+    codes: NDArray[np.int8],
+    roles: NDArray[np.int8],
+    ok_a: NDArray[np.bool_],
+    eve1: NDArray[np.int8],
+    eve2: NDArray[np.int8],
+    seed: int,
+) -> tuple[float, int, NDArray[np.int8], NDArray[np.int32], NDArray[np.int32]]:
+    """Encode, transmit, retrieve and Bell-analyze message and decoy pairs.
+
+    Message groups go, in pair order, to the message slots whose sender
+    memory returned its qubit; slots beyond the last group carry nothing.
+    All pairs of one ``(code, e1, e2)`` branch are resolved together.
+
+    Returns:
+        ``(qber2, lost, decoded, groups, erasures)``: the decoy error rate
+        (NaN when no decoy was compared), the pairs lost on the hop or in
+        receiver memory, the decoded code indices with their group indices
+        (ascending), and the sorted erased group indices.
+    """
+    n = roles.size
+    eta_b = config.memory_b.efficiency(config.storage_b_ns)
+    ok_hop = stream_rng(seed, "loss_enc").random(n) < config.transmittance
+    survived = ok_hop & (stream_rng(seed, "mem_b").random(n) < eta_b)
+
+    is_msg = ok_a & (roles == _ROLE_MSG)
+    group = np.cumsum(is_msg, dtype=np.int32) - 1
+    is_msg &= group < codes.size
+    active = is_msg | (ok_a & (roles == _ROLE_C2))
+    lost = int(np.count_nonzero(active & ~survived))
+    lost_groups = group[is_msg & ~survived]
+    at_bsm = active & survived
+    decoy = ~is_msg[at_bsm]
+    group = group[at_bsm]
+    code = stream_rng(seed, "check2_code").integers(0, 4, size=n)[at_bsm].astype(np.int8)
+    code[~decoy] = codes[group[~decoy]]
+    u = stream_rng(seed, "bsm").random(n)[at_bsm]
+
+    key = (code * 3 + eve1[at_bsm] + 1) * 3 + eve2[at_bsm] + 1
+    k = np.empty(key.size, dtype=np.int8)
+    for branch in np.flatnonzero(np.bincount(key)).tolist():
+        branch_code, rest = divmod(branch, 9)
+        e1, e2 = divmod(rest, 3)
+        at = key == branch
+        overlaps = bell_overlaps(states("encoded", e1 - 1, branch_code, e2 - 1))
+        k[at] = resolve_bsm(overlaps, config.bsm_mode, u[at])
+
+    erased = k == ERASURE
+    compared = decoy & ~erased
+    n_compared = int(np.count_nonzero(compared))
+    errors = int(np.count_nonzero(k[compared] != code[compared]))
+    qber2 = errors / n_compared if n_compared else float("nan")
+    got = ~(decoy | erased)
+    erasures = np.sort(np.concatenate((lost_groups, group[erased & ~decoy])))
+    return qber2, lost, k[got], group[got], erasures
 
 
 def run_session(
@@ -403,13 +509,14 @@ def run_session(
             f"{plan.required_ns} ns are required before encoding is safe"
         )
     encoded = encode_message(message)
+    codes = encoded.codes
     n = config.n_pairs
     n_check1 = int(round(config.check_fraction * n / 2.0))
     n_check2 = n_check1
     n_slots = n - n_check1 - n_check2
-    if len(encoded.codes) > n_slots:
+    if codes.size > n_slots:
         raise CapacityError(
-            f"message needs {len(encoded.codes)} pair slots but only {n_slots} "
+            f"message needs {codes.size} pair slots but only {n_slots} "
             f"are available ({n} pairs, check fraction {config.check_fraction})"
         )
 
@@ -423,11 +530,11 @@ def run_session(
     sim_time_s = periods * config.period_ms * 1e-3
 
     # Role assignment: a random split into check-1, check-2, and message pairs.
-    ROLE_MSG, ROLE_C1, ROLE_C2 = 0, 1, 2
     perm = stream_rng(seed, "roles").permutation(n)
-    roles = np.full(n, ROLE_MSG, dtype=np.int8)
-    roles[perm[:n_check1]] = ROLE_C1
-    roles[perm[n_check1 : n_check1 + n_check2]] = ROLE_C2
+    roles = np.full(n, _ROLE_MSG, dtype=np.int8)
+    roles[perm[:n_check1]] = _ROLE_C1
+    roles[perm[n_check1 : n_check1 + n_check2]] = _ROLE_C2
+    del perm
 
     eve_active = config.eve.kind is EveKind.INTERCEPT_RESEND
     if eve_active:
@@ -444,164 +551,48 @@ def run_session(
     ok_a = stream_rng(seed, "mem_a").random(n) < eta_a
     pairs_lost = int(np.count_nonzero(~ok_a))
 
-    # Exact state pipeline.  Pairs with the same discrete history share a
-    # density matrix, so each distinct branch is evaluated once.
-    dephase_a = ChannelSpec(NoiseKind.DEPHASING, config.memory_a.dephase_p)
-    dephase_b = ChannelSpec(NoiseKind.DEPHASING, config.memory_b.dephase_p)
-    rho_source = apply_channel(config.source_noise, "A", bell_density(BellLabel.PHI_PLUS))
-
-    _distributed: dict[int, NDArray[np.complex128]] = {}
-
-    def state_distributed(e1_code: int) -> NDArray[np.complex128]:
-        if e1_code not in _distributed:
-            if e1_code < 0:
-                _distributed[e1_code] = rho_source
-            else:
-                _distributed[e1_code] = intercept_resend(rho_source, "B", _EVE_BASIS[e1_code])
-        return _distributed[e1_code]
-
-    _retrieved_a: dict[int, NDArray[np.complex128]] = {}
-
-    def state_retrieved_a(e1_code: int) -> NDArray[np.complex128]:
-        if e1_code not in _retrieved_a:
-            _retrieved_a[e1_code] = apply_channel(dephase_a, "A", state_distributed(e1_code))
-        return _retrieved_a[e1_code]
-
-    def _finish_transit(rho: NDArray[np.complex128], e2_code: int) -> NDArray[np.complex128]:
-        if e2_code >= 0:
-            rho = intercept_resend(rho, "A", _EVE_BASIS[e2_code])
-        rho = apply_channel(config.hop_noise, "A", rho)
-        return apply_channel(dephase_b, "B", rho)
-
-    _check_cum: dict[tuple[int, LocalBasis], NDArray[np.float64]] = {}
-
-    def check_cum(e1_code: int, basis: LocalBasis) -> NDArray[np.float64]:
-        key = (e1_code, basis)
-        if key not in _check_cum:
-            probs = outcome_probs(state_retrieved_a(e1_code), basis, basis)
-            _check_cum[key] = np.cumsum(probs / probs.sum())
-        return _check_cum[key]
-
-    _bsm_cum: dict[tuple[TwoBitCode, int, int], NDArray[np.float64]] = {}
-
-    def bsm_cum(code: TwoBitCode, e1_code: int, e2_code: int) -> NDArray[np.float64]:
-        key = (code, e1_code, e2_code)
-        if key not in _bsm_cum:
-            rho = apply_local(encode_unitary(code), "A", state_retrieved_a(e1_code))
-            overlaps = bell_overlaps(_finish_transit(rho, e2_code))
-            _bsm_cum[key] = np.cumsum(overlaps / overlaps.sum())
-        return _bsm_cum[key]
-
+    states = PairStates(config)
     trace = None
     if capture_trace:
-        msg_indices = np.nonzero(roles == ROLE_MSG)[0]
-        ti = int(msg_indices[0]) if msg_indices.size else 0
-        t_e1, t_e2 = int(eve1[ti]), int(eve2[ti])
-        t_code = encoded.codes[0] if encoded.codes else TwoBitCode.B00
-        plain = state_retrieved_a(t_e1)
-        trace = StageTrace(
-            stages=(
-                (STAGE_LABELS[0], rho_source.copy()),
-                (STAGE_LABELS[1], state_distributed(t_e1).copy()),
-                (STAGE_LABELS[2], plain.copy()),
-                (STAGE_LABELS[3], _finish_transit(plain, t_e2)),
-                (STAGE_LABELS[4], _finish_transit(apply_local(encode_unitary(t_code), "A", plain), t_e2)),
-            )
+        ti = int(np.argmax(roles == _ROLE_MSG))  # first message pair (0 if none)
+        branch = (int(eve1[ti]), int(codes[0]) if codes.size else 0, int(eve2[ti]))
+        trace = StageTrace(tuple((label, states(label, *branch).copy()) for label in STAGE_LABELS))
+
+    # A NaN error rate (no pair compared) never exceeds the threshold.
+    qber1 = _check1_qber(states, (roles == _ROLE_C1) & ok_a, eve1, seed)
+    qber2 = float("nan")
+    decoded = np.empty(0, dtype=np.int8)
+    groups = erasures = np.empty(0, dtype=np.int32)
+    if qber1 > config.qber_threshold:
+        aborted_at = AbortStage.CHECK1
+    else:
+        qber2, lost, decoded, groups, erasures = _decode_pairs(
+            states, config, codes, roles, ok_a, eve1, eve2, seed
         )
+        pairs_lost += lost
+        aborted_at = AbortStage.CHECK2 if qber2 > config.qber_threshold else AbortStage.NOT_ABORTED
+        if aborted_at is AbortStage.CHECK2:
+            decoded, groups, erasures = decoded[:0], groups[:0], erasures[:0]
 
-    def build_result(
-        aborted_at: AbortStage,
-        qber1: float,
-        qber2: float,
-        decoded: dict[int, TwoBitCode],
-        erasures: list[int],
-        lost: int,
-    ) -> SessionResult:
-        if aborted_at is not AbortStage.NOT_ABORTED:
-            decoded, erasures = {}, []
-        groups = sorted(decoded)
-        decoded_bits = "".join(decoded[g].value for g in groups)
-        bit_errors = sum(1 for g in groups if decoded[g] is not encoded.codes[g])
-        rate = bit_errors / len(groups) if groups else float("nan")
-        return SessionResult(
-            decoded_bits=decoded_bits,
-            erasure_positions=tuple(sorted(erasures)),
-            qber_check1=qber1,
-            qber_check2=qber2,
-            aborted_at=aborted_at,
-            pairs_lost=lost,
-            bits_sent=encoded.bit_length,
-            bits_decoded=len(decoded_bits),
-            bit_errors=bit_errors,
-            bit_error_rate=rate,
-            bit_rate_per_s=len(decoded_bits) / sim_time_s,
-            simulated_time_s=sim_time_s,
-            message_padded=encoded.padded,
-            trace=trace,
-        )
-
-    # --- Check 1: shared-basis correlation test before any encoding. ---
-    u_basis = stream_rng(seed, "check_basis").random(n)
-    u_out = stream_rng(seed, "check_outcome").random(n)
-    records: list[CheckRecord] = []
-    for i in np.nonzero((roles == ROLE_C1) & ok_a)[0]:
-        basis = LocalBasis.Z if u_basis[i] < 0.5 else LocalBasis.X
-        cum = check_cum(int(eve1[i]), basis)
-        k = min(int(np.searchsorted(cum, u_out[i], side="right")), 3)
-        records.append(CheckRecord(basis=basis, outcome_a=k >> 1, outcome_b=k & 1))
-    qber1 = estimate_qber(records)
-    if records and qber1 > config.qber_threshold:
-        return build_result(AbortStage.CHECK1, qber1, float("nan"), {}, [], pairs_lost)
-
-    # --- Message and decoy pairs: encode, transmit, retrieve, decode. ---
-    ok_hop = stream_rng(seed, "loss_enc").random(n) < config.transmittance
-    eta_b = config.memory_b.efficiency(config.storage_b_ns)
-    ok_b = stream_rng(seed, "mem_b").random(n) < eta_b
-    u_bsm = stream_rng(seed, "bsm").random(n)
-    c2_codes = stream_rng(seed, "check2_code").integers(0, 4, size=n)
-
-    linear_optics = config.bsm_mode is BsmMode.LINEAR_OPTICS
-    next_group = 0
-    decoded: dict[int, TwoBitCode] = {}
-    erasures: list[int] = []
-    c2_compared = 0
-    c2_errors = 0
-    for i in range(n):
-        role = roles[i]
-        if role == ROLE_C1 or not ok_a[i]:
-            continue
-        if role == ROLE_C2:
-            group = -1
-            code = _CODE_LIST[c2_codes[i]]
-        else:
-            if next_group >= len(encoded.codes):
-                continue  # spare slot, nothing left to send
-            group = next_group
-            code = encoded.codes[group]
-            next_group += 1
-        if not ok_hop[i] or not ok_b[i]:
-            pairs_lost += 1
-            if group >= 0:
-                erasures.append(group)
-            continue
-        cum = bsm_cum(code, int(eve1[i]), int(eve2[i]))
-        k = min(int(np.searchsorted(cum, u_bsm[i], side="right")), 3)
-        label = BELL_ORDER[k]
-        if linear_optics and label in (BellLabel.PHI_PLUS, BellLabel.PHI_MINUS):
-            if group >= 0:
-                erasures.append(group)
-            continue
-        got = BELL_TO_CODE[label]
-        if group < 0:
-            c2_compared += 1
-            if got is not code:
-                c2_errors += 1
-        else:
-            decoded[group] = got
-    qber2 = c2_errors / c2_compared if c2_compared else float("nan")
-    if c2_compared and qber2 > config.qber_threshold:
-        return build_result(AbortStage.CHECK2, qber1, qber2, {}, [], pairs_lost)
-    return build_result(AbortStage.NOT_ABORTED, qber1, qber2, decoded, erasures, pairs_lost)
+    bits = np.stack((decoded >> 1, decoded & 1), axis=1) + ord("0")
+    decoded_bits = bits.tobytes().decode("ascii")
+    bit_errors = int(np.count_nonzero(decoded != codes[groups]))
+    return SessionResult(
+        decoded_bits=decoded_bits,
+        erasure_positions=tuple(erasures.tolist()),
+        qber_check1=qber1,
+        qber_check2=qber2,
+        aborted_at=aborted_at,
+        pairs_lost=pairs_lost,
+        bits_sent=encoded.bit_length,
+        bits_decoded=len(decoded_bits),
+        bit_errors=bit_errors,
+        bit_error_rate=bit_errors / decoded.size if decoded.size else float("nan"),
+        bit_rate_per_s=len(decoded_bits) / sim_time_s,
+        simulated_time_s=sim_time_s,
+        message_padded=encoded.padded,
+        trace=trace,
+    )
 
 
 RESULT_CSV_HEADER = (

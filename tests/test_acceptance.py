@@ -32,7 +32,6 @@ from qsdc.noise import (
     NoiseKind,
     apply_channel,
     calibrate_noise,
-    memory_store_retrieve,
 )
 from qsdc.protocol import (
     AbortStage,
@@ -45,7 +44,7 @@ from qsdc.protocol import (
     plan_timing,
     run_session,
 )
-from qsdc.rng import random_bits, stream_rng
+from qsdc.rng import random_bits
 from qsdc.tomography import (
     exact_tomography,
     fidelity_with_error,
@@ -230,7 +229,6 @@ def test_06_timing_feasibility(capsys):
 
 def test_07_memory_efficiency_decay(capsys):
     with criterion(capsys, 7, "retrieval frequency follows the efficiency decay", 30.0):
-        rho0 = bell_density(BellLabel.PHI_PLUS)
         # The 25%-at-120ns operating point appears twice: once as a flat
         # efficiency and once reached by exponential decay.
         cases = [
@@ -243,12 +241,15 @@ def test_07_memory_efficiency_decay(capsys):
         trials = 100_000
         for spec, duration in cases:
             eta = spec.efficiency(duration)
-            rng = stream_rng(7, f"acceptance-memory-{duration}-{spec.eta0}")
-            hits = sum(
-                memory_store_retrieve(rho0, "A", duration, spec, rng)[0]
-                for _ in range(trials)
+            # Zero link geometry makes every hold time feasible; with a
+            # perfect hop and receiver memory, every lost pair is a failed
+            # sender retrieval.
+            config = SessionConfig(
+                n_pairs=trials, distance_m=0.0, op_time_ns=0.0,
+                memory_a=spec, storage_a_ns=duration,
             )
-            freq = hits / trials
+            res = run_session(config, "01", seed=7)
+            freq = 1.0 - res.pairs_lost / trials
             if eta in (0.0, 1.0):
                 assert freq == eta
             else:

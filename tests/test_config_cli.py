@@ -9,8 +9,8 @@ from qsdc.config import SweepSpec, build_settings, load_config, parse_config_tex
 from qsdc.core import density_from_csv, validate_physical
 from qsdc.errors import ConfigParseError, ValidationError
 from qsdc.measurement import BsmMode
-from qsdc.noise import NoiseKind
-from qsdc.protocol import BasisPolicy, EveKind
+from qsdc.noise import MemorySpec, NoiseKind
+from qsdc.protocol import BasisPolicy, EveKind, EveStrategy, SessionConfig
 
 GOOD_CONFIG = """\
 # demo session
@@ -86,6 +86,13 @@ class TestBuildSettings:
         assert settings.config.eve.kind is EveKind.NONE
         assert settings.seed == 0
         assert settings.message == "01"
+
+    def test_absent_keys_take_dataclass_defaults(self):
+        assert load_config("message = 01").config == SessionConfig()
+        config = load_config("memory_b_dephase_p = 0.25\neve_basis_policy = always_x\nmessage = 01").config
+        assert config == SessionConfig(
+            memory_b=MemorySpec(dephase_p=0.25), eve=EveStrategy(basis_policy=BasisPolicy.ALWAYS_X)
+        )
 
     def test_full_round_trip(self):
         settings = load_config(GOOD_CONFIG)
@@ -185,6 +192,13 @@ class TestCliErrorPaths:
         assert main(["run", "-c", str(tmp_path / "absent.cfg")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_sweep_missing_file(self, tmp_path, capsys):
+        argv = ["sweep", "-c", str(tmp_path / "absent.cfg"), "--param", "n_pairs", "--grid", "1:2:2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and "absent.cfg" in captured.err
+        assert captured.out == ""
+
     def test_unknown_key(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("zzz = 1\nmessage = 01\n")
@@ -254,6 +268,19 @@ class TestCliSweep:
         )
         lines = capsys.readouterr().out.strip().splitlines()
         assert [ln.split(",")[1] for ln in lines[1:]] == ["200", "300", "400"]
+
+    @pytest.mark.parametrize(
+        "param,grid,message",
+        [
+            ("check_fraction", "0.2:1.0:3", "check_fraction"),  # invalid config at the last point
+            ("distance_m", "3:1000:2", "timing"),  # infeasible session at the last point
+        ],
+    )
+    def test_failing_point_emits_nothing(self, config_file, capsys, param, grid, message):
+        assert main(["sweep", "-c", config_file, "--param", param, "--grid", grid]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     def test_bad_grid_is_parse_error(self, config_file, capsys):
         assert main(["sweep", "-c", config_file, "--param", "n_pairs", "--grid", "1:2"]) == 2

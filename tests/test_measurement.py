@@ -15,14 +15,14 @@ from qsdc.core import (
     encode_unitary,
 )
 from qsdc.measurement import (
+    ERASURE,
     BsmMode,
-    BsmOutcome,
     LocalBasis,
     basis_kets,
     bell_overlaps,
-    bsm,
     outcome_probs,
     resolve_bsm,
+    resolve_outcomes,
     sample_counts,
 )
 from qsdc.noise import ChannelSpec, NoiseKind, apply_channel
@@ -139,45 +139,41 @@ class TestBellOverlaps:
 
 
 class TestBsm:
+    """The Bell analyzer: ``resolve_bsm`` over pre-drawn uniforms."""
+
     def test_eigenstate_is_deterministic(self):
-        rng = np.random.default_rng(6)
-        rho = bell_density(BellLabel.PHI_MINUS)
-        for _ in range(100):
-            assert bsm(rho, BsmMode.IDEAL, rng) is BsmOutcome.PHI_MINUS
+        u = np.random.default_rng(6).random(100)
+        k = resolve_bsm(bell_overlaps(bell_density(BellLabel.PHI_MINUS)), BsmMode.IDEAL, u)
+        assert k.tolist() == [BELL_ORDER.index(BellLabel.PHI_MINUS)] * 100
 
     def test_encoded_states_decode_exactly(self):
-        rng = np.random.default_rng(7)
+        u = np.random.default_rng(7).random(50)
         src = bell_density(BellLabel.PHI_PLUS)
         expected = {
-            TwoBitCode.B00: BsmOutcome.PHI_PLUS,
-            TwoBitCode.B01: BsmOutcome.PHI_MINUS,
-            TwoBitCode.B10: BsmOutcome.PSI_PLUS,
-            TwoBitCode.B11: BsmOutcome.PSI_MINUS,
+            TwoBitCode.B00: BellLabel.PHI_PLUS,
+            TwoBitCode.B01: BellLabel.PHI_MINUS,
+            TwoBitCode.B10: BellLabel.PSI_PLUS,
+            TwoBitCode.B11: BellLabel.PSI_MINUS,
         }
-        for code, outcome in expected.items():
+        for code, label in expected.items():
             rho = apply_local(encode_unitary(code), "A", src)
-            assert bsm(rho, BsmMode.IDEAL, rng) is outcome
+            k = resolve_bsm(bell_overlaps(rho), BsmMode.IDEAL, u)
+            assert set(k.tolist()) == {BELL_ORDER.index(label)}
 
     def test_mixed_state_frequency(self):
         f = 0.87
         overlaps = bell_overlaps(werner(f))
         rng = np.random.default_rng(8)
         trials = 100000
-        hits = sum(
-            resolve_bsm(overlaps, BsmMode.IDEAL, float(u)) is BsmOutcome.PHI_PLUS
-            for u in rng.random(trials)
-        )
+        hits = np.count_nonzero(resolve_bsm(overlaps, BsmMode.IDEAL, rng.random(trials)) == 0)
         se = math.sqrt(f * (1 - f) / trials)
         assert abs(hits / trials - f) < 4 * se
 
     def test_sampled_distribution_chi_square(self):
-        rho = werner(0.8)
-        overlaps = bell_overlaps(rho)
+        overlaps = bell_overlaps(werner(0.8))
         rng = np.random.default_rng(9)
         trials = 50000
-        outcomes = [bsm(rho, BsmMode.IDEAL, rng) for _ in range(trials)]
-        labels = [BsmOutcome.PHI_PLUS, BsmOutcome.PHI_MINUS, BsmOutcome.PSI_PLUS, BsmOutcome.PSI_MINUS]
-        observed = np.array([sum(o is lab for o in outcomes) for lab in labels])
+        observed = np.bincount(resolve_bsm(overlaps, BsmMode.IDEAL, rng.random(trials)), minlength=4)
         result = stats.chisquare(observed, overlaps / overlaps.sum() * trials)
         assert result.pvalue > 0.001
 
@@ -185,29 +181,37 @@ class TestBsm:
         with pytest.raises(ValueError, match="positive mass"):
             resolve_bsm(np.zeros(4), BsmMode.IDEAL, 0.5)
 
+    def test_matches_scalar_inverse_cdf(self):
+        # The vectorized resolver equals a per-uniform searchsorted over the
+        # normalized cumulative distribution, capped at 3.
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            p = rng.random(4) * (rng.random(4) < 0.8)
+            p[rng.integers(4)] += 0.1
+            u = np.concatenate((rng.random(200), [0.0, 1.0 - 1e-16]))
+            cum = np.cumsum(p / p.sum())
+            expected = [min(int(np.searchsorted(cum, x, side="right")), 3) for x in u]
+            assert resolve_outcomes(p, u).tolist() == expected
+
 
 class TestLinearOptics:
     def test_psi_states_resolve(self):
-        rng = np.random.default_rng(10)
-        assert (
-            bsm(bell_density(BellLabel.PSI_PLUS), BsmMode.LINEAR_OPTICS, rng)
-            is BsmOutcome.PSI_PLUS
-        )
-        assert (
-            bsm(bell_density(BellLabel.PSI_MINUS), BsmMode.LINEAR_OPTICS, rng)
-            is BsmOutcome.PSI_MINUS
-        )
+        u = np.random.default_rng(10).random(50)
+        for label in (BellLabel.PSI_PLUS, BellLabel.PSI_MINUS):
+            k = resolve_bsm(bell_overlaps(bell_density(label)), BsmMode.LINEAR_OPTICS, u)
+            assert set(k.tolist()) == {BELL_ORDER.index(label)}
 
     def test_phi_states_erase(self):
-        rng = np.random.default_rng(11)
+        u = np.random.default_rng(11).random(50)
         for label in (BellLabel.PHI_PLUS, BellLabel.PHI_MINUS):
-            for _ in range(50):
-                assert bsm(bell_density(label), BsmMode.LINEAR_OPTICS, rng) is BsmOutcome.ERASURE
+            k = resolve_bsm(bell_overlaps(bell_density(label)), BsmMode.LINEAR_OPTICS, u)
+            assert set(k.tolist()) == {ERASURE}
 
     def test_erasure_fraction_on_uniform_mixture(self):
         rho = np.eye(4, dtype=complex) / 4.0
         rng = np.random.default_rng(12)
         trials = 20000
-        erasures = sum(bsm(rho, BsmMode.LINEAR_OPTICS, rng) is BsmOutcome.ERASURE for _ in range(trials))
+        k = resolve_bsm(bell_overlaps(rho), BsmMode.LINEAR_OPTICS, rng.random(trials))
+        erasures = np.count_nonzero(k == ERASURE)
         se = math.sqrt(0.25 / trials)
         assert abs(erasures / trials - 0.5) < 4 * se

@@ -1,5 +1,6 @@
 """Channel, loss, and memory model tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,9 +24,8 @@ from qsdc.noise import (
     NoiseKind,
     apply_channel,
     calibrate_noise,
-    memory_store_retrieve,
-    transmit_photon,
 )
+from qsdc.protocol import SessionConfig, run_session
 
 
 def random_density(rng):
@@ -145,14 +145,26 @@ class TestMemorySpec:
             MemorySpec().efficiency(-1.0)
 
 
+def _session(seed=3, message="01" * 20, **changes):
+    """One session whose losses come only from the changed memory or hop."""
+    config = dataclasses.replace(SessionConfig(n_pairs=2000), **changes)
+    return config, run_session(config, message, seed, capture_trace=True)
+
+
 class TestMemoryStoreRetrieve:
+    """Sender-memory storage and retrieval as the session engine runs it.
+
+    Every pair's retrieval succeeds with the memory's efficiency, drawn per
+    pair; a failed pair is discarded (heralded loss) and a retrieved qubit
+    is dephased.  With a perfect hop and receiver memory, ``pairs_lost``
+    counts exactly the failed sender retrievals.
+    """
+
     def test_perfect_memory_always_succeeds_and_preserves_state(self):
-        rng = np.random.default_rng(4)
-        rho = bell_density(BellLabel.PSI_PLUS)
-        for _ in range(100):
-            ok, out = memory_store_retrieve(rho, "A", 500.0, MemorySpec(), rng)
-            assert ok
-            np.testing.assert_allclose(out, rho, atol=1e-15)
+        _, res = _session(storage_a_ns=500.0)
+        assert res.pairs_lost == 0
+        states = dict(res.trace.stages)
+        np.testing.assert_allclose(states["retrieved_sender"], states["stored_both"], atol=1e-15)
 
     @pytest.mark.parametrize(
         "eta0,tau,t",
@@ -160,69 +172,65 @@ class TestMemoryStoreRetrieve:
     )
     def test_success_frequency_matches_efficiency(self, eta0, tau, t):
         spec = MemorySpec(eta0=eta0, tau_ns=tau)
-        rng = np.random.default_rng(5)
-        rho = bell_density(BellLabel.PHI_PLUS)
         trials = 20000
-        hits = sum(memory_store_retrieve(rho, "B", t, spec, rng)[0] for _ in range(trials))
+        _, res = _session(seed=5, n_pairs=trials, memory_a=spec, storage_a_ns=t)
         expected = spec.efficiency(t)
         se = math.sqrt(expected * (1 - expected) / trials)
-        assert abs(hits / trials - expected) < 4 * se
+        assert abs(1.0 - res.pairs_lost / trials - expected) < 4 * se
 
     def test_failure_returns_state_unchanged(self):
-        spec = MemorySpec(eta0=0.0, dephase_p=1.0)
-        rng = np.random.default_rng(6)
-        rho = bell_density(BellLabel.PHI_PLUS)
-        ok, out = memory_store_retrieve(rho, "A", 10.0, spec, rng)
-        assert not ok
-        np.testing.assert_allclose(out, rho, atol=0)
+        # Loss is heralded: failures change how many pairs survive, never
+        # the state of the pairs that do.
+        _, lossy = _session(seed=6, memory_a=MemorySpec(eta0=0.3))
+        _, lossless = _session(seed=6)
+        assert lossy.pairs_lost > 0 and lossless.pairs_lost == 0
+        for (_, a), (_, b) in zip(lossy.trace.stages, lossless.trace.stages):
+            np.testing.assert_array_equal(a, b)
 
     def test_success_applies_dephasing(self):
-        spec = MemorySpec(eta0=1.0, dephase_p=0.4)
-        rng = np.random.default_rng(7)
-        rho = bell_density(BellLabel.PHI_PLUS)
-        ok, out = memory_store_retrieve(rho, "A", 10.0, spec, rng)
-        assert ok
-        expected = apply_channel(ChannelSpec(NoiseKind.DEPHASING, 0.4), "A", rho)
-        np.testing.assert_allclose(out, expected, atol=1e-14)
+        _, res = _session(seed=7, memory_a=MemorySpec(eta0=1.0, dephase_p=0.4))
+        states = dict(res.trace.stages)
+        expected = apply_channel(ChannelSpec(NoiseKind.DEPHASING, 0.4), "A", states["stored_both"])
+        np.testing.assert_allclose(states["retrieved_sender"], expected, atol=1e-14)
 
     def test_outcomes_independent_of_state(self):
-        # The success draw must not depend on the stored state.
+        # The success draws must not depend on the stored state.
         spec = MemorySpec(eta0=0.5)
-        flags1 = [
-            memory_store_retrieve(bell_density(BellLabel.PHI_PLUS), "A", 5.0, spec, rng)[0]
-            for rng in [np.random.default_rng(8)]
-            for _ in range(50)
-        ]
-        flags2 = [
-            memory_store_retrieve(bell_density(BellLabel.PSI_MINUS), "B", 5.0, spec, rng)[0]
-            for rng in [np.random.default_rng(8)]
-            for _ in range(50)
-        ]
-        assert flags1 == flags2
+        _, clean = _session(seed=8, memory_a=spec)
+        _, noisy = _session(
+            seed=8, memory_a=spec, source_noise=ChannelSpec(NoiseKind.DEPOLARIZING, 0.05)
+        )
+        assert clean.pairs_lost == noisy.pairs_lost > 0
 
     def test_rejects_negative_duration(self):
-        with pytest.raises(ValueError):
-            memory_store_retrieve(
-                bell_density(BellLabel.PHI_PLUS), "A", -5.0, MemorySpec(), np.random.default_rng(9)
-            )
+        with pytest.raises(ValidationError):
+            SessionConfig(storage_a_ns=-5.0)
 
 
 class TestTransmitPhoton:
+    """Heralded loss of the encoded photon on the hop, as the engine runs it.
+
+    Only decoy pairs and message pairs carrying a group are sent, so with a
+    perfect sender memory the hop sees ``n_check2 + groups`` photons.
+    """
+
     def test_degenerate_probabilities(self):
-        rng = np.random.default_rng(10)
-        assert all(transmit_photon(1.0, rng) for _ in range(100))
-        assert not any(transmit_photon(0.0, rng) for _ in range(100))
+        _, res = _session(seed=10, transmittance=1.0)
+        assert res.pairs_lost == 0 and res.bits_decoded == 40
+        config, res = _session(seed=10, transmittance=0.0)
+        n_check2 = round(config.check_fraction * config.n_pairs / 2)
+        assert res.pairs_lost == n_check2 + 20
+        assert res.bits_decoded == 0 and res.erasure_positions == tuple(range(20))
 
     def test_frequency_near_transmittance(self):
-        rng = np.random.default_rng(11)
-        trials = 100000
-        hits = sum(transmit_photon(0.45, rng) for _ in range(trials))
-        se = math.sqrt(0.45 * 0.55 / trials)
-        assert abs(hits / trials - 0.45) < 4 * se
+        config, res = _session(seed=11, n_pairs=100000, transmittance=0.45, message="01" * 40000)
+        sent = round(config.check_fraction * config.n_pairs / 2) + 40000
+        se = math.sqrt(0.45 * 0.55 / sent)
+        assert abs(1.0 - res.pairs_lost / sent - 0.45) < 4 * se
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            transmit_photon(1.01, np.random.default_rng(12))
+        with pytest.raises(ValidationError):
+            SessionConfig(transmittance=1.01)
 
 
 class TestCalibrateNoise:

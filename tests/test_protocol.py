@@ -14,12 +14,10 @@ from qsdc.protocol import (
     STAGE_LABELS,
     AbortStage,
     BasisPolicy,
-    CheckRecord,
     EveKind,
     EveStrategy,
     SessionConfig,
     encode_message,
-    estimate_qber,
     intercept_resend,
     plan_timing,
     result_csv_header,
@@ -28,6 +26,11 @@ from qsdc.protocol import (
 )
 
 IDEAL = SessionConfig()
+
+
+def codes_of(enc):
+    """The message's groups as ``TwoBitCode`` members (code index k is member k)."""
+    return tuple(tuple(TwoBitCode)[k] for k in enc.codes)
 
 
 def with_eve(config, policy=BasisPolicy.RANDOM_ZX, **changes):
@@ -106,47 +109,32 @@ class TestPlanTiming:
 class TestEncodeMessage:
     def test_splits_into_groups(self):
         enc = encode_message("00011011")
-        assert enc.codes == (TwoBitCode.B00, TwoBitCode.B01, TwoBitCode.B10, TwoBitCode.B11)
+        assert codes_of(enc) == (TwoBitCode.B00, TwoBitCode.B01, TwoBitCode.B10, TwoBitCode.B11)
+        assert enc.codes.dtype == np.int8
         assert not enc.padded
         assert enc.bit_length == 8
 
     def test_pads_odd_length(self):
         enc = encode_message("101")
-        assert enc.codes == (TwoBitCode.B10, TwoBitCode.B10)
+        assert codes_of(enc) == (TwoBitCode.B10, TwoBitCode.B10)
         assert enc.padded
         assert enc.bit_length == 3
 
     def test_ignores_whitespace(self):
-        assert encode_message("00 01 10 11").codes == encode_message("00011011").codes
+        assert codes_of(encode_message("00 01 10 11")) == codes_of(encode_message("00011011"))
 
     def test_accepts_int_sequence(self):
-        assert encode_message([1, 1, 0, 0]).codes == (TwoBitCode.B11, TwoBitCode.B00)
+        assert codes_of(encode_message([1, 1, 0, 0])) == (TwoBitCode.B11, TwoBitCode.B00)
 
     def test_empty_message(self):
         enc = encode_message("")
-        assert enc.codes == () and not enc.padded and enc.bit_length == 0
+        assert codes_of(enc) == () and not enc.padded and enc.bit_length == 0
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError, match="non-bit"):
             encode_message("010x")
         with pytest.raises(ValueError, match="bits"):
             encode_message([0, 2])
-
-
-class TestEstimateQber:
-    def test_empty_is_nan(self):
-        assert math.isnan(estimate_qber([]))
-
-    def test_counts_violations(self):
-        records = [CheckRecord(LocalBasis.Z, 0, 0) for _ in range(7)]
-        records += [CheckRecord(LocalBasis.X, 0, 1) for _ in range(3)]
-        assert estimate_qber(records) == pytest.approx(0.3)
-
-    def test_respects_expected_anticorrelation(self):
-        records = [CheckRecord(LocalBasis.Z, 0, 1, expect_equal=False)]
-        assert estimate_qber(records) == 0.0
-        records = [CheckRecord(LocalBasis.Z, 1, 1, expect_equal=False)]
-        assert estimate_qber(records) == 1.0
 
 
 class TestInterceptResend:
