@@ -135,10 +135,13 @@ def _cmd_tomo(args: argparse.Namespace) -> int:
     # through the configured noise stack with no attacker.
     rho = PairStates(settings.config)("encoded", code=BELL_ORDER.index(target))
 
-    data = simulate_tomography(rho, args.shots, stream_rng(settings.seed, "tomo"))
-    report = fidelity_with_error(
-        data, bell_state(target), resamples=args.resamples, rng=stream_rng(settings.seed, "bootstrap")
-    )
+    try:
+        data = simulate_tomography(rho, args.shots, stream_rng(settings.seed, "tomo"))
+        report = fidelity_with_error(
+            data, bell_state(target), resamples=args.resamples, rng=stream_rng(settings.seed, "bootstrap")
+        )
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
     reconstructed = project_physical(linear_inversion(data))
     sys.stdout.write(density_to_csv(reconstructed))
     print("target,shots_per_basis,fidelity,sigma,resamples")

@@ -211,26 +211,31 @@ def reduced_density(state: NDArray[np.complex128], keep: str) -> NDArray[np.comp
     return np.einsum("abac->bc", rho)
 
 
-def fidelity(state: NDArray[np.complex128], target: NDArray[np.complex128]) -> float:
-    """Overlap ``<t| rho |t>`` between a density matrix and a pure target.
+def fidelity(state: NDArray[np.complex128], target: NDArray[np.complex128]) -> float | NDArray[np.float64]:
+    """Overlap ``<t| rho |t>`` between density matrices and a pure target.
 
     Args:
-        state: 4x4 density matrix.
+        state: 4x4 density matrix, or a ``(..., 4, 4)`` stack of them.
         target: Length-4 normalized pure-state amplitudes.
 
     Returns:
-        A real number in [0, 1] up to numerical noise.
+        A real number in [0, 1] up to numerical noise for one matrix; an
+        array of shape ``state.shape[:-2]`` for a stack.  Each stacked value
+        equals the one-matrix result bit for bit.
     """
     rho = np.asarray(state, dtype=complex)
     vec = np.asarray(target, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected 4x4 density matrices, got shape {rho.shape}")
     if vec.shape != (4,):
         raise ValueError(f"expected a length-4 target vector, got shape {vec.shape}")
     norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > NORM_ATOL:
         raise ValueError(f"target vector is not normalized: |norm - 1| = {abs(norm - 1.0):.3g}")
-    return float(np.real(vec.conj() @ rho @ vec))
+    # Row-vector times matrix, then times column vector, per matrix: the
+    # same products a lone 4x4 gets, whatever the stack's shape.
+    value = np.real((vec.conj()[None, :] @ rho) @ vec[:, None])[..., 0, 0]
+    return float(value) if value.ndim == 0 else value
 
 
 @dataclass(frozen=True)

@@ -77,19 +77,20 @@ def sample_counts(probs: NDArray[np.float64], shots: int, rng: np.random.Generat
     """Draw multinomial counts for a finite number of measurement shots.
 
     Args:
-        probs: Length-4 probability vector summing to one (within 1e-9).
-        shots: Number of repetitions; must be non-negative.
+        probs: Length-4 probability vector summing to one (within 1e-9), or
+            a ``(..., 4)`` stack of them, drawn row after row in order.
+        shots: Number of repetitions per vector; must be non-negative.
         rng: Generator supplying the draw.
     """
     p = np.asarray(probs, dtype=float)
-    if p.shape != (4,):
-        raise ValueError(f"expected a length-4 probability vector, got shape {p.shape}")
+    if p.shape[-1:] != (4,):
+        raise ValueError(f"expected length-4 probability vectors, got shape {p.shape}")
     if shots < 0:
         raise ValueError(f"shots must be non-negative, got {shots}")
-    if np.any(p < -1e-9) or abs(p.sum() - 1.0) > 1e-9:
+    if np.any(p < -1e-9) or np.any(np.abs(p.sum(axis=-1) - 1.0) > 1e-9):
         raise ValueError("probabilities must be non-negative and sum to one")
     p = np.clip(p, 0.0, None)
-    p = p / p.sum()
+    p = p / p.sum(axis=-1, keepdims=True)
     return rng.multinomial(shots, p).astype(np.int64)
 
 

@@ -2,16 +2,22 @@
 
 The measurement scheme is the standard nine-setting one: every pairing of
 local bases (Z, X, Y) on the two sides, four joint outcomes per setting.
+A dataset is one ``(9, 4)`` array: row ``i`` holds setting
+``BASIS_PAIRS[i]`` (side A's basis outer, side B's inner, so ``ZZ, ZX, ZY,
+XZ, ...``), columns the outcomes ``(++, +-, -+, --)``.
+
 Linear inversion reconstructs the state from outcome frequencies; a simplex
 projection of the eigenvalue spectrum repairs the result into a physical
 density matrix; parametric bootstrap supplies a one-sigma error bar on any
-fidelity derived from counted data.
+fidelity derived from counted data.  Inversion, projection and fidelity all
+work on stacks, so the point estimate and every bootstrap resample go
+through the same three calls.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 from numpy.typing import NDArray
@@ -25,17 +31,14 @@ from .core import (
     TRACE_ATOL,
     fidelity,
 )
-from .measurement import OUTCOME_LABELS, LocalBasis, outcome_probs, sample_counts
+from .measurement import _JOINT_KETS, OUTCOME_LABELS, LocalBasis, sample_counts
 
-#: Canonical measurement-setting order used for serialization and sampling.
+#: Canonical measurement-setting order: the row order of every dataset.
 BASES = (LocalBasis.Z, LocalBasis.X, LocalBasis.Y)
 BASIS_PAIRS = tuple((a, b) for a in BASES for b in BASES)
 
-_BASIS_PAULI = {LocalBasis.Z: PAULI_Z, LocalBasis.X: PAULI_X, LocalBasis.Y: PAULI_Y}
-
-# Outcome sign vectors for sides A and B, ordered (++, +-, -+, --).
-_SIGN_A = np.array([1.0, 1.0, -1.0, -1.0])
-_SIGN_B = np.array([1.0, -1.0, 1.0, -1.0])
+# (9, 4, 4) joint outcome kets, one (4, 4) stack per setting in row order.
+_SETTING_KETS = np.stack([_JOINT_KETS[pair] for pair in BASIS_PAIRS])
 
 # Stack of kron(P_i, P_j) for i, j in (I, Z, X, Y), used by linear inversion.
 _PAULI_SET = (PAULI_I, PAULI_Z, PAULI_X, PAULI_Y)
@@ -49,42 +52,44 @@ class TomoDataset:
     Attributes:
         shots_per_basis: Shots recorded per setting, or ``None`` when the
             dataset holds exact outcome probabilities instead of counts.
-        counts: Mapping from a ``(basis_a, basis_b)`` pair to the length-4
-            outcome vector ordered ``(++, +-, -+, --)``.
+        counts: ``(9, 4)`` array; row ``i`` is setting ``BASIS_PAIRS[i]``,
+            columns are the outcomes ordered ``(++, +-, -+, --)``.
     """
 
     shots_per_basis: int | None
-    counts: Mapping[tuple[LocalBasis, LocalBasis], NDArray[np.float64]] = field(repr=False)
+    counts: NDArray[np.float64] = field(repr=False)
 
     def __post_init__(self) -> None:
-        if set(self.counts.keys()) != set(BASIS_PAIRS):
-            raise ValueError("dataset must cover exactly the nine basis pairs")
-        clean: dict[tuple[LocalBasis, LocalBasis], NDArray[np.float64]] = {}
-        for pair in BASIS_PAIRS:
-            vec = np.asarray(self.counts[pair], dtype=float)
-            if vec.shape != (4,):
-                raise ValueError(f"counts for {pair} must have length 4, got shape {vec.shape}")
-            if np.any(vec < 0):
-                raise ValueError(f"counts for {pair} must be non-negative")
-            total = float(vec.sum())
-            if self.shots_per_basis is None:
-                if abs(total - 1.0) > 1e-9:
-                    raise ValueError(f"exact dataset rows must sum to one, got {total} for {pair}")
-            else:
-                if self.shots_per_basis <= 0:
-                    raise ValueError(f"shots_per_basis must be positive, got {self.shots_per_basis}")
-                if abs(total - self.shots_per_basis) > 1e-9:
-                    raise ValueError(
-                        f"counts for {pair} sum to {total}, expected {self.shots_per_basis}"
-                    )
-            clean[pair] = vec.copy()
-        object.__setattr__(self, "counts", clean)
+        counts = np.array(self.counts, dtype=float)
+        if counts.shape != (9, 4):
+            raise ValueError(f"counts must have shape (9, 4), a row for each of the nine settings, got {counts.shape}")
+        if not np.all(counts >= 0):
+            raise ValueError("counts must be non-negative")
+        totals = counts.sum(axis=1)
+        if self.shots_per_basis is None:
+            expected, what = 1.0, "exact dataset rows must sum to one"
+        elif self.shots_per_basis <= 0:
+            raise ValueError(f"shots_per_basis must be positive, got {self.shots_per_basis}")
+        else:
+            expected, what = self.shots_per_basis, f"count rows must sum to {self.shots_per_basis}"
+        off = np.flatnonzero(np.abs(totals - expected) > 1e-9)
+        if off.size:
+            a, b = BASIS_PAIRS[off[0]]
+            raise ValueError(f"{what}, got {totals[off[0]]} for setting {a.value}{b.value}")
+        object.__setattr__(self, "counts", counts)
 
-    def frequencies(self, pair: tuple[LocalBasis, LocalBasis]) -> NDArray[np.float64]:
-        """Outcome frequencies for one setting (probabilities if exact)."""
-        vec = self.counts[pair]
-        total = float(vec.sum())
-        return vec / total
+    def frequencies(self) -> NDArray[np.float64]:
+        """``(9, 4)`` outcome frequencies (probabilities if exact)."""
+        return self.counts / self.counts.sum(axis=1, keepdims=True)
+
+
+def _setting_probs(state: NDArray[np.complex128]) -> NDArray[np.float64]:
+    """``(9, 4)`` exact outcome probabilities of every setting, clipped at zero."""
+    rho = np.asarray(state, dtype=complex)
+    if rho.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
+    probs = np.einsum("pki,ij,pkj->pk", _SETTING_KETS.conj(), rho, _SETTING_KETS).real
+    return np.clip(probs, 0.0, None)
 
 
 def simulate_tomography(
@@ -92,25 +97,40 @@ def simulate_tomography(
 ) -> TomoDataset:
     """Sample a full nine-setting tomography experiment on a known state.
 
-    Settings are sampled in canonical order, so the result is a pure
-    function of ``(state, shots_per_basis, rng state)``.
+    Settings are sampled in row order by one multinomial call, so the result
+    is a pure function of ``(state, shots_per_basis, rng state)``.
 
     Raises:
         ValueError: If ``shots_per_basis`` is not positive.
     """
     if shots_per_basis <= 0:
         raise ValueError(f"shots_per_basis must be positive, got {shots_per_basis}")
-    counts = {}
-    for pair in BASIS_PAIRS:
-        probs = outcome_probs(state, pair[0], pair[1])
-        counts[pair] = sample_counts(probs, shots_per_basis, rng).astype(float)
+    counts = sample_counts(_setting_probs(state), shots_per_basis, rng)
     return TomoDataset(shots_per_basis=shots_per_basis, counts=counts)
 
 
 def exact_tomography(state: NDArray[np.complex128]) -> TomoDataset:
     """Build the infinite-shot dataset whose rows are exact probabilities."""
-    counts = {pair: outcome_probs(state, pair[0], pair[1]) for pair in BASIS_PAIRS}
-    return TomoDataset(shots_per_basis=None, counts=counts)
+    return TomoDataset(shots_per_basis=None, counts=_setting_probs(state))
+
+
+def _invert(counts: NDArray[np.float64]) -> NDArray[np.complex128]:
+    """Linear inversion of ``(..., 9, 4)`` counts into ``(..., 4, 4)`` matrices."""
+    f = counts / counts.sum(axis=-1, keepdims=True)
+    pp, pm, mp, mm = (f[..., k].reshape(f.shape[:-2] + (3, 3)) for k in range(4))
+    # Moments of each setting [i, j]: the correlation <s_A s_B> and the two
+    # single-side means.  The emitted bytes depend on the rounding order, so
+    # each moment is summed left to right over the four outcomes and each
+    # average adds its three thirds left to right (a matrix product would not).
+    corr = pp - pm - mp + mm
+    mean_a = pp + pm - mp - mm
+    mean_b = pp - pm + mp - mm
+    s = np.zeros(f.shape[:-2] + (4, 4))
+    s[..., 0, 0] = 1.0
+    s[..., 1:, 1:] = corr
+    s[..., 1:, 0] = mean_a[..., 0] / 3.0 + mean_a[..., 1] / 3.0 + mean_a[..., 2] / 3.0
+    s[..., 0, 1:] = mean_b[..., 0, :] / 3.0 + mean_b[..., 1, :] / 3.0 + mean_b[..., 2, :] / 3.0
+    return np.einsum("...ij,ijkl->...kl", s, _PAULI_KRON) / 4.0
 
 
 def linear_inversion(data: TomoDataset) -> NDArray[np.complex128]:
@@ -122,57 +142,43 @@ def linear_inversion(data: TomoDataset) -> NDArray[np.complex128]:
     small negative eigenvalues at finite shots — feed it to
     :func:`project_physical` before using it as a state.
     """
-    s = np.zeros((4, 4))
-    s[0, 0] = 1.0
-    marg_a = np.zeros(3)
-    marg_b = np.zeros(3)
-    for i, a in enumerate(BASES):
-        for j, b in enumerate(BASES):
-            f = data.frequencies((a, b))
-            s[i + 1, j + 1] = float(f @ (_SIGN_A * _SIGN_B))
-            marg_a[i] += float(f @ _SIGN_A) / 3.0
-            marg_b[j] += float(f @ _SIGN_B) / 3.0
-    s[1:, 0] = marg_a
-    s[0, 1:] = marg_b
-    rho = np.einsum("ij,ijkl->kl", s, _PAULI_KRON) / 4.0
-    return rho
-
-
-def _project_simplex(values: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Euclidean projection of a real vector onto the probability simplex."""
-    u = np.sort(values)[::-1]
-    css = np.cumsum(u)
-    j = np.arange(1, len(u) + 1)
-    rho_idx = j[u + (1.0 - css) / j > 0][-1]
-    lam = (1.0 - css[rho_idx - 1]) / rho_idx
-    return np.maximum(values + lam, 0.0)
+    return _invert(data.counts)
 
 
 def project_physical(estimate: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Repair a Hermitian unit-trace estimate into the nearest physical state.
+    """Repair Hermitian unit-trace estimates into the nearest physical states.
 
-    The eigenvalues are projected (in Euclidean norm) onto the probability
+    Works on one 4x4 matrix or a ``(..., 4, 4)`` stack.  Each matrix's
+    eigenvalues are projected (in Euclidean norm) onto the probability
     simplex while eigenvectors are kept, which yields the closest density
     matrix in Frobenius distance.  Already-physical inputs pass through
     unchanged up to rounding.
 
     Raises:
-        ValueError: If the input is not Hermitian or not unit trace to
-            within 1e-10.
+        ValueError: If any input matrix is not Hermitian or not unit trace
+            to within 1e-10.
     """
     m = np.asarray(estimate, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    herm_dev = float(np.max(np.abs(m - m.conj().T)))
+    if m.shape[-2:] != (4, 4):
+        raise ValueError(f"expected 4x4 matrices, got shape {m.shape}")
+    m_dag = m.conj().swapaxes(-1, -2)
+    herm_dev = float(np.max(np.abs(m - m_dag)))
     if herm_dev > HERMITIAN_ATOL:
         raise ValueError(f"input is not Hermitian: max deviation {herm_dev:.3g}")
-    trace_dev = float(abs(np.trace(m) - 1.0))
+    trace_dev = float(np.max(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)))
     if trace_dev > TRACE_ATOL:
         raise ValueError(f"input trace deviates from one by {trace_dev:.3g}")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    w_proj = _project_simplex(w)
-    rho = (v * w_proj) @ v.conj().T
-    return (rho + rho.conj().T) / 2.0
+    w, v = np.linalg.eigh((m + m_dag) / 2.0)
+    # Simplex projection of each spectrum: with u sorted descending and css
+    # its running sum, the support size is the largest j for which
+    # u_j + (1 - css_j) / j > 0.
+    u = np.sort(w, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1)
+    j = np.arange(1, 5)
+    support = np.max(np.where(u + (1.0 - css) / j > 0, j, 0), axis=-1, keepdims=True)
+    lam = (1.0 - np.take_along_axis(css, support - 1, axis=-1)) / support
+    rho = (v * np.maximum(w + lam, 0.0)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (rho + rho.conj().swapaxes(-1, -2)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -196,8 +202,9 @@ def fidelity_with_error(
     inversion against the pure target.  The error bar is the sample standard
     deviation of that statistic over parametric-bootstrap resamples: each
     resample redraws every setting's counts from the observed frequencies at
-    the original shot count.  Exact (infinite-shot) datasets report sigma
-    zero.
+    the original shot count, from its own child of ``rng``.  All resamples
+    are inverted, projected and scored as one ``(resamples, 9, 4)`` stack.
+    Exact (infinite-shot) datasets report sigma zero.
 
     Args:
         data: Tomography dataset.
@@ -211,28 +218,21 @@ def fidelity_with_error(
     """
     if resamples < 50:
         raise ValueError(f"resamples must be at least 50, got {resamples}")
-
-    def statistic(ds: TomoDataset) -> float:
-        return fidelity(project_physical(linear_inversion(ds)), target)
-
-    point = statistic(data)
+    point = fidelity(project_physical(linear_inversion(data)), target)
     if data.shots_per_basis is None:
         return FidelityReport(fidelity=point, sigma=0.0, resamples=resamples)
     if rng is None:
         rng = np.random.default_rng(0)
-    shots = data.shots_per_basis
-    children = rng.spawn(resamples)
-    values = np.empty(resamples)
-    for r, child in enumerate(children):
-        counts = {
-            pair: child.multinomial(shots, data.frequencies(pair)).astype(float)
-            for pair in BASIS_PAIRS
-        }
-        values[r] = statistic(TomoDataset(shots_per_basis=shots, counts=counts))
+    freqs = data.frequencies()
+    counts = np.stack([child.multinomial(data.shots_per_basis, freqs) for child in rng.spawn(resamples)])
+    values = fidelity(project_physical(_invert(counts)), target)
     return FidelityReport(fidelity=point, sigma=float(np.std(values, ddof=1)), resamples=resamples)
 
 
 _DATASET_CSV_HEADER = "basisA,basisB,outcome,count"
+
+# CSV row keys (basisA, basisB, outcome) in row-major dataset order.
+_CSV_KEYS = tuple((a.value, b.value, label) for (a, b), label in itertools.product(BASIS_PAIRS, OUTCOME_LABELS))
 
 
 def dataset_to_csv(data: TomoDataset) -> str:
@@ -242,53 +242,41 @@ def dataset_to_csv(data: TomoDataset) -> str:
     order.  Counted data prints integers; exact data prints probabilities
     to full precision.
     """
-    lines = [_DATASET_CSV_HEADER]
-    for a, b in BASIS_PAIRS:
-        vec = data.counts[(a, b)]
-        for k, label in enumerate(OUTCOME_LABELS):
-            if data.shots_per_basis is None:
-                value = f"{vec[k]:.17g}"
-            else:
-                value = str(int(round(vec[k])))
-            lines.append(f"{a.value},{b.value},{label},{value}")
-    return "\n".join(lines) + "\n"
+    if data.shots_per_basis is None:
+        values = [f"{v:.17g}" for v in data.counts.ravel()]
+    else:
+        values = [str(int(round(v))) for v in data.counts.ravel()]
+    rows = [f"{a},{b},{label},{value}" for (a, b, label), value in zip(_CSV_KEYS, values)]
+    return "\n".join([_DATASET_CSV_HEADER, *rows]) + "\n"
 
 
 def dataset_from_csv(text: str) -> TomoDataset:
     """Parse :func:`dataset_to_csv` output back into a dataset.
 
-    Integer-valued counts reconstruct a counted dataset (shots inferred from
-    the per-setting sums); fractional values reconstruct an exact one.
+    Rows may come in any order.  Integer-valued counts reconstruct a counted
+    dataset (shots inferred from the per-setting sums); fractional values
+    reconstruct an exact one.
     """
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines or lines[0] != _DATASET_CSV_HEADER:
         raise ValueError(f"expected header {_DATASET_CSV_HEADER!r}")
     if len(lines) != 1 + 36:
         raise ValueError(f"expected 36 data rows, got {len(lines) - 1}")
-    counts: dict[tuple[LocalBasis, LocalBasis], NDArray[np.float64]] = {
-        pair: np.zeros(4) for pair in BASIS_PAIRS
-    }
-    seen: set[tuple[LocalBasis, LocalBasis, str]] = set()
+    cells: dict[tuple[str, ...], float] = {}
     for ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != 4:
             raise ValueError(f"malformed row: {ln!r}")
-        a = LocalBasis(parts[0])
-        b = LocalBasis(parts[1])
-        if parts[2] not in OUTCOME_LABELS:
-            raise ValueError(f"unknown outcome label {parts[2]!r}")
-        key = (a, b, parts[2])
-        if key in seen:
+        key = tuple(parts[:3])
+        if key not in _CSV_KEYS:
+            raise ValueError(f"unknown basis or outcome label in row {ln!r}")
+        if key in cells:
             raise ValueError(f"duplicate row for {key}")
-        seen.add(key)
-        counts[(a, b)][OUTCOME_LABELS.index(parts[2])] = float(parts[3])
-    integral = all(
-        float(v).is_integer() for vec in counts.values() for v in vec
-    )
-    if integral:
-        sums = {float(vec.sum()) for vec in counts.values()}
-        if len(sums) != 1:
+        cells[key] = float(parts[3])
+    counts = np.array([cells[key] for key in _CSV_KEYS]).reshape(9, 4)
+    if np.all(np.mod(counts, 1.0) == 0.0):
+        totals = counts.sum(axis=1)
+        if np.any(totals != totals[0]):
             raise ValueError("counted dataset has inconsistent per-setting totals")
-        shots = int(sums.pop())
-        return TomoDataset(shots_per_basis=shots, counts=counts)
+        return TomoDataset(shots_per_basis=int(totals[0]), counts=counts)
     return TomoDataset(shots_per_basis=None, counts=counts)

@@ -332,6 +332,19 @@ class TestCliTomo:
         assert 0.98 < fidelity <= 1.0 + 1e-9
 
 
+    @pytest.mark.parametrize(
+        "option,message",
+        [(["--shots", "0"], "shots_per_basis"), (["--resamples", "10"], "resamples")],
+    )
+    def test_bad_sampling_option_is_validation_error(self, tmp_path, capsys, option, message):
+        path = tmp_path / "tomo.cfg"
+        path.write_text("message = 01\nseed = 3\n")
+        assert main(["tomo", "-c", str(path), "--target", "phi+", *option]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("validation error:") and message in captured.err
+        assert captured.out == ""
+
+
 class TestCliCalibrate:
     def test_depolarizing_strength(self, capsys):
         assert main(["calibrate", "--fidelity", "0.87", "--channel", "depol"]) == 0

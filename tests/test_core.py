@@ -249,6 +249,16 @@ class TestFidelity:
         mix = 0.3 * r1 + 0.7 * r2
         assert fidelity(mix, t) == pytest.approx(0.3 * fidelity(r1, t) + 0.7 * fidelity(r2, t), abs=1e-13)
 
+    def test_stack_matches_per_matrix(self):
+        rng = np.random.default_rng(8)
+        stack = np.stack([[random_density(rng) for _ in range(3)] for _ in range(2)])
+        t = bell_state(BellLabel.PSI_MINUS)
+        values = fidelity(stack, t)
+        assert values.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            assert values[idx] == fidelity(stack[idx], t)
+        assert isinstance(fidelity(stack[0, 0], t), float)
+
 
 class TestReducedDensity:
     def test_bell_marginals_are_maximally_mixed(self):

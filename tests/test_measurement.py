@@ -117,6 +117,12 @@ class TestSampleCounts:
         with pytest.raises(ValueError, match="shots"):
             sample_counts(np.array([0.25] * 4), -1, np.random.default_rng(4))
 
+    def test_stack_draws_rows_in_order(self):
+        probs = np.array([[0.1, 0.2, 0.3, 0.4], [0.25] * 4, [0.0, 1.0, 0.0, 0.0]])
+        stacked = sample_counts(probs, 777, np.random.default_rng(6))
+        rng = np.random.default_rng(6)
+        np.testing.assert_array_equal(stacked, [sample_counts(row, 777, rng) for row in probs])
+
     def test_rejects_bad_probabilities(self):
         rng = np.random.default_rng(5)
         with pytest.raises(ValueError):

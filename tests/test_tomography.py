@@ -70,32 +70,30 @@ def simplex_oracle(values):
 
 class TestTomoDataset:
     def test_requires_all_nine_settings(self):
-        counts = {pair: np.array([25.0, 25, 25, 25]) for pair in BASIS_PAIRS[:-1]}
         with pytest.raises(ValueError, match="nine"):
-            TomoDataset(shots_per_basis=100, counts=counts)
+            TomoDataset(shots_per_basis=100, counts=np.full((8, 4), 25.0))
 
     def test_rejects_negative_counts(self):
-        counts = {pair: np.array([25.0, 25, 25, 25]) for pair in BASIS_PAIRS}
-        counts[BASIS_PAIRS[0]] = np.array([-1.0, 51, 25, 25])
+        counts = np.full((9, 4), 25.0)
+        counts[0] = [-1.0, 51, 25, 25]
         with pytest.raises(ValueError, match="non-negative"):
             TomoDataset(shots_per_basis=100, counts=counts)
 
     def test_rejects_inconsistent_totals(self):
-        counts = {pair: np.array([25.0, 25, 25, 25]) for pair in BASIS_PAIRS}
-        counts[BASIS_PAIRS[3]] = np.array([10.0, 10, 10, 10])
+        counts = np.full((9, 4), 25.0)
+        counts[3] = [10.0, 10, 10, 10]
         with pytest.raises(ValueError, match="sum"):
             TomoDataset(shots_per_basis=100, counts=counts)
 
     def test_exact_rows_must_sum_to_one(self):
-        counts = {pair: np.array([0.25] * 4) for pair in BASIS_PAIRS}
-        counts[BASIS_PAIRS[0]] = np.array([0.5, 0.5, 0.5, 0.5])
+        counts = np.full((9, 4), 0.25)
+        counts[0] = [0.5, 0.5, 0.5, 0.5]
         with pytest.raises(ValueError, match="sum to one"):
             TomoDataset(shots_per_basis=None, counts=counts)
 
     def test_frequencies_normalize(self):
-        counts = {pair: np.array([10.0, 20, 30, 40]) for pair in BASIS_PAIRS}
-        ds = TomoDataset(shots_per_basis=100, counts=counts)
-        np.testing.assert_allclose(ds.frequencies(BASIS_PAIRS[0]), [0.1, 0.2, 0.3, 0.4], atol=1e-15)
+        ds = TomoDataset(shots_per_basis=100, counts=np.tile([10.0, 20, 30, 40], (9, 1)))
+        np.testing.assert_allclose(ds.frequencies()[0], [0.1, 0.2, 0.3, 0.4], atol=1e-15)
 
 
 class TestSimulateTomography:
@@ -103,14 +101,13 @@ class TestSimulateTomography:
         rho = werner(0.9)
         d1 = simulate_tomography(rho, 1000, np.random.default_rng(42))
         d2 = simulate_tomography(rho, 1000, np.random.default_rng(42))
-        for pair in BASIS_PAIRS:
-            np.testing.assert_array_equal(d1.counts[pair], d2.counts[pair])
+        np.testing.assert_array_equal(d1.counts, d2.counts)
 
     def test_forbidden_outcomes_stay_empty(self):
         data = simulate_tomography(
             bell_density(BellLabel.PHI_PLUS), 5000, np.random.default_rng(0)
         )
-        zz = data.counts[(LocalBasis.Z, LocalBasis.Z)]
+        zz = data.counts[BASIS_PAIRS.index((LocalBasis.Z, LocalBasis.Z))]
         assert zz[1] == 0 and zz[2] == 0
         assert zz.sum() == 5000
 
@@ -190,6 +187,18 @@ class TestProjectPhysical:
         with pytest.raises(ValueError, match="trace"):
             project_physical(np.eye(4, dtype=complex))
 
+    def test_stack_matches_per_matrix(self):
+        rng = np.random.default_rng(15)
+        stack = np.stack([random_hermitian_unit_trace(rng) for _ in range(3)])
+        stack[1] = np.diag([0.6, 0.5, 0.0, -0.1])
+        out = project_physical(stack)
+        assert out.shape == (3, 4, 4)
+        for got, h in zip(out, stack):
+            assert got.tobytes() == project_physical(h).tobytes()
+        stack[2, 0, 1] += 0.3
+        with pytest.raises(ValueError, match="Hermitian"):
+            project_physical(stack)
+
 
 class TestFidelityWithError:
     def test_exact_data_has_zero_sigma(self):
@@ -242,15 +251,13 @@ class TestDatasetCsv:
         data = simulate_tomography(werner(0.85), 750, np.random.default_rng(14))
         back = dataset_from_csv(dataset_to_csv(data))
         assert back.shots_per_basis == 750
-        for pair in BASIS_PAIRS:
-            np.testing.assert_array_equal(back.counts[pair], data.counts[pair])
+        np.testing.assert_array_equal(back.counts, data.counts)
 
     def test_exact_round_trip(self):
         data = exact_tomography(werner(0.7))
         back = dataset_from_csv(dataset_to_csv(data))
         assert back.shots_per_basis is None
-        for pair in BASIS_PAIRS:
-            np.testing.assert_allclose(back.counts[pair], data.counts[pair], atol=0)
+        np.testing.assert_allclose(back.counts, data.counts, atol=0)
 
     def test_header_and_row_shape(self):
         text = dataset_to_csv(exact_tomography(bell_density(BellLabel.PHI_PLUS)))
