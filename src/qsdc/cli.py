@@ -40,7 +40,13 @@ from .protocol import (
     run_session,
 )
 from .rng import derive_seed, stream_rng
-from .tomography import fidelity_with_error, linear_inversion, project_physical, simulate_tomography
+from .tomography import (
+    MIN_RESAMPLES,
+    fidelity_with_error,
+    linear_inversion,
+    project_physical,
+    simulate_tomography,
+)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -128,6 +134,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_tomo(args: argparse.Namespace) -> int:
+    if args.shots <= 0:
+        raise ValidationError(f"--shots must be positive, got {args.shots}")
+    if args.resamples < MIN_RESAMPLES:
+        raise ValidationError(f"--resamples must be at least {MIN_RESAMPLES}, got {args.resamples}")
     settings = _load_settings(args.config)
     target = BellLabel(args.target)
     # The pair state under test: the session's encoded pair carrying the
@@ -135,13 +145,10 @@ def _cmd_tomo(args: argparse.Namespace) -> int:
     # through the configured noise stack with no attacker.
     rho = PairStates(settings.config)("encoded", code=BELL_ORDER.index(target))
 
-    try:
-        data = simulate_tomography(rho, args.shots, stream_rng(settings.seed, "tomo"))
-        report = fidelity_with_error(
-            data, bell_state(target), resamples=args.resamples, rng=stream_rng(settings.seed, "bootstrap")
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+    data = simulate_tomography(rho, args.shots, stream_rng(settings.seed, "tomo"))
+    report = fidelity_with_error(
+        data, bell_state(target), resamples=args.resamples, rng=stream_rng(settings.seed, "bootstrap")
+    )
     reconstructed = project_physical(linear_inversion(data))
     sys.stdout.write(density_to_csv(reconstructed))
     print("target,shots_per_basis,fidelity,sigma,resamples")

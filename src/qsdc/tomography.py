@@ -31,14 +31,14 @@ from .core import (
     TRACE_ATOL,
     fidelity,
 )
-from .measurement import _JOINT_KETS, OUTCOME_LABELS, LocalBasis, sample_counts
+from .measurement import OUTCOME_LABELS, LocalBasis, outcome_probs, sample_counts
 
 #: Canonical measurement-setting order: the row order of every dataset.
 BASES = (LocalBasis.Z, LocalBasis.X, LocalBasis.Y)
 BASIS_PAIRS = tuple((a, b) for a in BASES for b in BASES)
 
-# (9, 4, 4) joint outcome kets, one (4, 4) stack per setting in row order.
-_SETTING_KETS = np.stack([_JOINT_KETS[pair] for pair in BASIS_PAIRS])
+#: Fewest bootstrap resamples :func:`fidelity_with_error` accepts.
+MIN_RESAMPLES = 50
 
 # Stack of kron(P_i, P_j) for i, j in (I, Z, X, Y), used by linear inversion.
 _PAULI_SET = (PAULI_I, PAULI_Z, PAULI_X, PAULI_Y)
@@ -84,12 +84,8 @@ class TomoDataset:
 
 
 def _setting_probs(state: NDArray[np.complex128]) -> NDArray[np.float64]:
-    """``(9, 4)`` exact outcome probabilities of every setting, clipped at zero."""
-    rho = np.asarray(state, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    probs = np.einsum("pki,ij,pkj->pk", _SETTING_KETS.conj(), rho, _SETTING_KETS).real
-    return np.clip(probs, 0.0, None)
+    """``(9, 4)`` exact outcome probabilities, row ``i`` for ``BASIS_PAIRS[i]``."""
+    return np.stack([outcome_probs(state, a, b) for a, b in BASIS_PAIRS])
 
 
 def simulate_tomography(
@@ -209,15 +205,15 @@ def fidelity_with_error(
     Args:
         data: Tomography dataset.
         target: Length-4 pure target state.
-        resamples: Bootstrap resample count; at least 50.
+        resamples: Bootstrap resample count; at least ``MIN_RESAMPLES``.
         rng: Generator for the bootstrap; a fixed default is used if omitted
             so repeated calls agree.
 
     Raises:
-        ValueError: If ``resamples`` is below 50.
+        ValueError: If ``resamples`` is below ``MIN_RESAMPLES``.
     """
-    if resamples < 50:
-        raise ValueError(f"resamples must be at least 50, got {resamples}")
+    if resamples < MIN_RESAMPLES:
+        raise ValueError(f"resamples must be at least {MIN_RESAMPLES}, got {resamples}")
     point = fidelity(project_physical(linear_inversion(data)), target)
     if data.shots_per_basis is None:
         return FidelityReport(fidelity=point, sigma=0.0, resamples=resamples)

@@ -334,7 +334,7 @@ class TestCliTomo:
 
     @pytest.mark.parametrize(
         "option,message",
-        [(["--shots", "0"], "shots_per_basis"), (["--resamples", "10"], "resamples")],
+        [(["--shots", "0"], "--shots"), (["--resamples", "10"], "--resamples")],
     )
     def test_bad_sampling_option_is_validation_error(self, tmp_path, capsys, option, message):
         path = tmp_path / "tomo.cfg"
