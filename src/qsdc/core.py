@@ -9,6 +9,9 @@ Conventions fixed package-wide:
   are 4x4 complex, Hermitian, trace one, positive semidefinite.
 * Single-qubit operators are 2x2 complex arrays and act on one side via
   :func:`apply_local`.
+* :func:`apply_local`, :func:`reduced_density` and :func:`fidelity` also
+  take ``(..., 4, 4)`` stacks of density matrices; each stacked result
+  equals the one-matrix result bit for bit.
 
 Everything here is pure: inputs are never mutated and returned arrays are
 fresh.  No sampling happens in this module.
@@ -160,55 +163,71 @@ def _check_side(side: str) -> None:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
 
 
+def _kron(a: NDArray[np.complex128], b: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """``np.kron`` of 2x2 operators, broadcast over leading stack axes.
+
+    The same products as ``np.kron``, taken in the same order, so each
+    stacked result equals ``np.kron`` of its operands bit for bit.
+    """
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (4, 4))
+
+
 def lift_local(u: NDArray[np.complex128], side: str) -> NDArray[np.complex128]:
-    """Embed a 2x2 operator as a 4x4 one acting on the given side only."""
+    """Embed a 2x2 operator, or a ``(..., 2, 2)`` stack, as 4x4 ones acting on one side."""
     _check_side(side)
     op = np.asarray(u, dtype=complex)
-    if op.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 operator, got shape {op.shape}")
-    return np.kron(op, PAULI_I) if side == "A" else np.kron(PAULI_I, op)
+    if op.shape[-2:] != (2, 2):
+        raise ValueError(f"expected 2x2 operators, got shape {op.shape}")
+    return _kron(op, PAULI_I) if side == "A" else _kron(PAULI_I, op)
 
 
 def apply_local(u: NDArray[np.complex128], side: str, state: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Conjugate a two-qubit density matrix by a single-qubit unitary.
+    """Conjugate two-qubit density matrices by single-qubit unitaries.
 
     Args:
-        u: 2x2 unitary.
+        u: 2x2 unitary, or a ``(..., 2, 2)`` stack of them.
         side: ``"A"`` (first tensor factor) or ``"B"`` (second).
-        state: 4x4 density matrix.
+        state: 4x4 density matrix, or a ``(..., 4, 4)`` stack of them; the
+            stack axes of ``u`` and ``state`` broadcast against each other.
 
     Returns:
-        ``(U x I) state (U x I)^dagger`` (or ``I x U`` for side B).
+        ``(U x I) state (U x I)^dagger`` (or ``I x U`` for side B), per
+        matrix.  Each stacked result equals the one-matrix result bit for
+        bit.
 
     Raises:
-        ValueError: If ``u`` is not unitary to within ``UNITARY_ATOL``, or if
-            shapes are wrong.
+        ValueError: If any ``u`` is not unitary to within ``UNITARY_ATOL``, or
+            if shapes are wrong.
     """
     op = np.asarray(u, dtype=complex)
-    if op.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 operator, got shape {op.shape}")
-    dev = float(np.max(np.abs(op @ op.conj().T - PAULI_I)))
+    if op.shape[-2:] != (2, 2):
+        raise ValueError(f"expected 2x2 operators, got shape {op.shape}")
+    dev = float(np.max(np.abs(op @ op.conj().swapaxes(-1, -2) - PAULI_I), initial=0.0))
     if dev > UNITARY_ATOL:
         raise ValueError(f"operator is not unitary: max |U U^dag - I| = {dev:.3g}")
     rho = np.asarray(state, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected 4x4 density matrices, got shape {rho.shape}")
     big = lift_local(op, side)
-    return big @ rho @ big.conj().T
+    return big @ rho @ big.conj().swapaxes(-1, -2)
 
 
 def reduced_density(state: NDArray[np.complex128], keep: str) -> NDArray[np.complex128]:
-    """Partial trace of a two-qubit density matrix.
+    """Partial trace of two-qubit density matrices.
 
     Args:
-        state: 4x4 density matrix.
+        state: 4x4 density matrix, or a ``(..., 4, 4)`` stack of them.
         keep: Which side's 2x2 reduced state to return (``"A"`` or ``"B"``).
     """
     _check_side(keep)
-    rho = np.asarray(state, dtype=complex).reshape(2, 2, 2, 2)
+    rho = np.asarray(state, dtype=complex)
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected 4x4 density matrices, got shape {rho.shape}")
+    rho = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
     if keep == "A":
-        return np.einsum("abcb->ac", rho)
-    return np.einsum("abac->bc", rho)
+        return np.einsum("...abcb->...ac", rho)
+    return np.einsum("...abac->...bc", rho)
 
 
 def fidelity(state: NDArray[np.complex128], target: NDArray[np.complex128]) -> float | NDArray[np.float64]:

@@ -56,20 +56,21 @@ def outcome_probs(state: NDArray[np.complex128], basis_a: LocalBasis, basis_b: L
     """Joint outcome distribution of independent local measurements.
 
     Args:
-        state: 4x4 density matrix.
+        state: 4x4 density matrix, or a ``(..., 4, 4)`` stack of them.
         basis_a: Basis measured on side A.
         basis_b: Basis measured on side B.
 
     Returns:
-        Length-4 probability vector ordered ``(++, +-, -+, --)``.  Entries
-        are clipped at zero against floating-point dust; the sum equals the
-        trace of the state.
+        Length-4 probability vector ordered ``(++, +-, -+, --)``, one per
+        matrix (shape ``state.shape[:-2] + (4,)``).  Entries are clipped at
+        zero against floating-point dust; the sum equals the trace of the
+        state.  Each stacked result equals the one-matrix result bit for bit.
     """
     rho = np.asarray(state, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected 4x4 density matrices, got shape {rho.shape}")
     kets = _JOINT_KETS[(basis_a, basis_b)]
-    probs = np.einsum("ki,ij,kj->k", kets.conj(), rho, kets).real
+    probs = np.einsum("ki,...ij,kj->...k", kets.conj(), rho, kets).real
     return np.clip(probs, 0.0, None)
 
 
@@ -110,45 +111,72 @@ _BELL_KETS = np.stack([bell_state(label) for label in BELL_ORDER])
 
 
 def bell_overlaps(state: NDArray[np.complex128]) -> NDArray[np.float64]:
-    """Projection probabilities onto the four Bell states, in canonical order."""
+    """Projection probabilities onto the four Bell states, in canonical order.
+
+    ``state`` is a 4x4 density matrix or a ``(..., 4, 4)`` stack of them;
+    each stacked result equals the one-matrix result bit for bit.
+    """
     rho = np.asarray(state, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    probs = np.einsum("ki,ij,kj->k", _BELL_KETS.conj(), rho, _BELL_KETS).real
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected 4x4 density matrices, got shape {rho.shape}")
+    probs = np.einsum("ki,...ij,kj->...k", _BELL_KETS.conj(), rho, _BELL_KETS).real
     return np.clip(probs, 0.0, None)
 
 
-def resolve_outcomes(probs: NDArray[np.float64], u: ArrayLike) -> NDArray[np.intp]:
+def resolve_outcomes(probs: NDArray[np.float64], u: ArrayLike, rows: ArrayLike = 0) -> NDArray[np.int8]:
     """Map uniform draws to outcome indices by inverse CDF.
 
-    The one sampling rule of the simulator: with ``cum`` the cumulative sum
-    of ``probs`` normalized to one, each uniform ``u`` gives the number of
-    entries of ``cum`` that are ``<= u`` (``searchsorted`` from the right),
-    capped at 3 against rounding in the last entry.  Vectorized over ``u``,
-    so batch simulations can feed pre-drawn uniforms and stay stream-stable.
+    The one sampling rule of the simulator.  ``probs`` is one length-4
+    probability vector, or a ``(K, 4)`` table of them; ``rows`` gives the
+    table row of each uniform (a gathered inverse CDF; default row 0).  With
+    ``cum`` a row's cumulative sum normalized to one (``cumsum(p / p.sum())``
+    after clipping at zero), each uniform ``u`` gives the number of entries
+    of ``cum`` that are ``<= u`` (``searchsorted`` from the right), capped at
+    3 against rounding in the last entry.  Vectorized over ``u``, so batch
+    simulations can feed pre-drawn uniforms and stay stream-stable.
+
+    Returns:
+        ``int8`` outcome indices shaped like ``u``.
 
     Raises:
-        ValueError: If ``probs`` has no positive mass.
+        ValueError: If ``probs`` is not length 4 per row, holds a non-finite
+            entry, or has a row with no positive mass.
     """
-    p = np.clip(np.asarray(probs, dtype=float), 0.0, None)
-    total = p.sum()
-    if total <= 0.0:
+    p = np.asarray(probs, dtype=float)
+    if p.shape[-1:] != (4,) or p.ndim > 2:
+        raise ValueError(f"expected a length-4 vector or a (K, 4) table, got shape {p.shape}")
+    if not np.isfinite(p).all():
+        raise ValueError("probabilities must be finite")
+    p = np.clip(p, 0.0, None)
+    total = p.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0.0):
         raise ValueError("probabilities must contain positive mass")
-    return np.minimum(np.searchsorted(np.cumsum(p / total), u, side="right"), 3)
+    cum = np.cumsum(p / total, axis=-1).reshape(-1, 4)
+    # The cumulative entries are non-decreasing, so the count of those <= u
+    # is the count of comparisons u >= cum[j] that hold; stopping at j = 2
+    # caps it at 3.  One column at a time keeps temporaries at one per draw.
+    u = np.asarray(u)
+    k = np.zeros(u.shape, dtype=np.int8)
+    for j in range(3):
+        k += u >= cum[rows, j]
+    return k
 
 
 #: Outcome index ``resolve_bsm`` reports for a linear-optics erasure.
 ERASURE = -1
 
 
-def resolve_bsm(overlaps: NDArray[np.float64], mode: BsmMode, u: ArrayLike) -> NDArray[np.intp]:
+def resolve_bsm(
+    overlaps: NDArray[np.float64], mode: BsmMode, u: ArrayLike, rows: ArrayLike = 0
+) -> NDArray[np.int8]:
     """Map uniform draws to Bell-measurement outcomes.
 
     Outcome ``k`` is the Bell state ``BELL_ORDER[k]``, drawn from the
-    overlaps by :func:`resolve_outcomes`.  In ``LINEAR_OPTICS`` mode a phi
+    overlaps (one vector, or a ``(K, 4)`` table with each draw's row in
+    ``rows``) by :func:`resolve_outcomes`.  In ``LINEAR_OPTICS`` mode a phi
     projection (``k`` 0 or 1) is reported as ``ERASURE`` instead.
     """
-    k = resolve_outcomes(overlaps, u)
+    k = resolve_outcomes(overlaps, u, rows)
     if mode is BsmMode.LINEAR_OPTICS:
         return np.where(k < 2, ERASURE, k)
     return k

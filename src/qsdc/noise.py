@@ -15,7 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import PAULI_I, PAULI_Z, apply_local, bell_density, fidelity, bell_state, BellLabel, reduced_density, _check_side
+from .core import (
+    PAULI_I,
+    PAULI_Z,
+    SIDES,
+    BellLabel,
+    _check_side,
+    _kron,
+    bell_density,
+    bell_state,
+    fidelity,
+    lift_local,
+    reduced_density,
+)
 from .errors import ValidationError
 
 
@@ -44,8 +56,12 @@ class ChannelSpec:
             raise ValidationError(f"channel probability must lie in [0, 1], got {self.p}")
 
 
+# Pauli Z lifted to each side once, for dephasing.
+_LIFTED_Z = {side: lift_local(PAULI_Z, side) for side in SIDES}
+
+
 def apply_channel(spec: ChannelSpec, side: str, state: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Send one side of a two-qubit state through a noise channel.
+    """Send one side of two-qubit states through a noise channel.
 
     For depolarizing noise the affected qubit is replaced, with probability
     ``p``, by the maximally mixed state while the other side keeps its
@@ -56,27 +72,26 @@ def apply_channel(spec: ChannelSpec, side: str, state: NDArray[np.complex128]) -
     Args:
         spec: Channel kind and strength.
         side: ``"A"`` or ``"B"``.
-        state: 4x4 density matrix.
+        state: 4x4 density matrix, or a ``(..., 4, 4)`` stack of them.
 
     Returns:
-        The transformed 4x4 density matrix.
+        The transformed density matrices, shaped like ``state``.  Each
+        stacked result equals the one-matrix result bit for bit.
     """
     _check_side(side)
     rho = np.asarray(state, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected 4x4 density matrices, got shape {rho.shape}")
     if spec.kind is NoiseKind.NONE or spec.p == 0.0:
         return rho.copy()
     if spec.kind is NoiseKind.DEPHASING:
-        flipped = apply_local(PAULI_Z, side, rho)
-        return (1.0 - spec.p) * rho + spec.p * flipped
+        z = _LIFTED_Z[side]
+        return (1.0 - spec.p) * rho + spec.p * (z @ rho @ z.conj().T)
     # Depolarizing: keep the untouched side's marginal, mix the noisy side.
-    other = "B" if side == "A" else "A"
-    marginal = reduced_density(rho, other)
     if side == "A":
-        replaced = np.kron(PAULI_I / 2.0, marginal)
+        replaced = _kron(PAULI_I / 2.0, reduced_density(rho, "B"))
     else:
-        replaced = np.kron(marginal, PAULI_I / 2.0)
+        replaced = _kron(reduced_density(rho, "A"), PAULI_I / 2.0)
     return (1.0 - spec.p) * rho + spec.p * replaced
 
 

@@ -28,9 +28,18 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 
-from .core import BellLabel, TwoBitCode, apply_local, bell_density, encode_unitary, lift_local
+from .core import (
+    SIDES,
+    BellLabel,
+    TwoBitCode,
+    _check_side,
+    apply_local,
+    bell_density,
+    encode_unitary,
+    lift_local,
+)
 from .errors import CapacityError, TimingError, ValidationError
 from .measurement import (
     ERASURE,
@@ -71,6 +80,14 @@ class EveStrategy:
             raise ValidationError(f"basis_policy must be a BasisPolicy, got {self.basis_policy!r}")
 
 
+# The (+, -) projectors of each local basis, lifted to each side once.
+_PROJECTORS = {
+    (basis, side): tuple(lift_local(np.outer(ket, ket.conj()), side) for ket in basis_kets(basis))
+    for basis in LocalBasis
+    for side in SIDES
+}
+
+
 def intercept_resend(
     state: NDArray[np.complex128], side: str, basis: LocalBasis
 ) -> NDArray[np.complex128]:
@@ -80,13 +97,16 @@ def intercept_resend(
     resends the eigenstate found.  Averaged over the (unknown) outcomes the
     state becomes ``sum_k P_k rho P_k``, which is what every honest-party
     statistic sees; no sampling of the attacker's result is needed.
+
+    ``state`` is a 4x4 density matrix or a ``(..., 4, 4)`` stack of them;
+    each stacked result equals the one-matrix result bit for bit.
     """
+    _check_side(side)
     rho = np.asarray(state, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected 4x4 density matrices, got shape {rho.shape}")
     out = np.zeros_like(rho)
-    for ket in basis_kets(basis):
-        proj = lift_local(np.outer(ket, ket.conj()), side)
+    for proj in _PROJECTORS[(basis, side)]:
         out += proj @ rho @ proj.conj().T
     return out
 
@@ -280,19 +300,22 @@ class AbortStage(enum.Enum):
 #: Stage labels of the pair pipeline, in order.
 STAGE_LABELS = ("emitted", "stored_both", "retrieved_sender", "retrieved_both", "encoded")
 
-_CODE_LIST = tuple(TwoBitCode)
 #: Basis index 0 is Z and 1 is X, for the attacker and the first check alike.
 _ZX_BASES = (LocalBasis.Z, LocalBasis.X)
+#: The sender's encoding unitaries, row ``k`` for code index ``k``.
+_ENCODE_UNITARIES = np.stack([encode_unitary(code) for code in TwoBitCode])
 
 
 class PairStates:
-    """The state function of the pair pipeline for one configuration.
+    """The state table of the pair pipeline for one configuration.
 
-    ``states(stage, e1, code, e2)`` is the exact 4x4 state of one discrete
-    branch after ``stage`` (one of ``STAGE_LABELS``).  A branch is the
-    intercept-resend basis on the distribution hop ``e1`` (-1 for no attack,
-    0 for Z, 1 for X), the code index ``code`` (see :class:`EncodedMessage`)
-    and the attack basis on the encoded hop ``e2``:
+    ``table(stage, e1, code, e2)`` stacks the exact 4x4 states of discrete
+    branches after ``stage`` (one of ``STAGE_LABELS``) into a ``(K, 4, 4)``
+    array, row ``i`` for branch ``(e1[i], code[i], e2[i])`` (scalars
+    broadcast).  A branch is the intercept-resend basis on the distribution
+    hop ``e1`` (-1 for no attack, 0 for Z, 1 for X), the code index ``code``
+    (see :class:`EncodedMessage`) and the attack basis on the encoded hop
+    ``e2``:
 
     * ``emitted``: phi+ after source noise on side A;
     * ``stored_both``: then the attack on the distribution hop (side B);
@@ -302,11 +325,14 @@ class PairStates:
     * ``encoded``: the same path with the code's unitary applied on A
       first, i.e. the pair as it enters the Bell analyzer.
 
+    The call ``states(stage, e1, code, e2)`` is row 0 of a one-branch table.
+
     Loss is heralded, so these are the surviving-path states.  The prefix
-    up to ``retrieved_sender`` is built once per ``e1`` and shared by every
-    later call on the same object; a session builds its own object, so
-    nothing is cached across sessions.  Returned arrays may be shared:
-    callers must not modify them.
+    up to ``retrieved_sender`` is built on first use for each ``e1`` asked
+    for and shared by later calls on the same object; a session builds its
+    own object, so nothing is cached across sessions.  Later stages are
+    built for the requested rows only, with one stacked call per step (one
+    per attack basis for the encoded-hop attack).  Returned arrays are fresh.
     """
 
     def __init__(self, config: SessionConfig) -> None:
@@ -314,29 +340,45 @@ class PairStates:
         self._dephase_b = ChannelSpec(NoiseKind.DEPHASING, config.memory_b.dephase_p)
         self._hop_noise = config.hop_noise
         self._emitted = apply_channel(config.source_noise, "A", bell_density(BellLabel.PHI_PLUS))
-        self._prefix: dict[int, tuple[NDArray[np.complex128], NDArray[np.complex128]]] = {}
+        # Prefix states, row e1 + 1; a row is valid once ``_built`` says so.
+        self._stored = np.empty((3, 4, 4), dtype=complex)
+        self._retrieved = np.empty((3, 4, 4), dtype=complex)
+        self._built = np.zeros(3, dtype=bool)
 
     def __call__(
         self, stage: str, e1: int = -1, code: int = 0, e2: int = -1
     ) -> NDArray[np.complex128]:
+        return self.table(stage, e1, code, e2)[0]
+
+    def table(
+        self, stage: str, e1: ArrayLike, code: ArrayLike = 0, e2: ArrayLike = -1
+    ) -> NDArray[np.complex128]:
+        """The ``(K, 4, 4)`` stack of branch states after ``stage`` (see above)."""
+        if stage not in STAGE_LABELS:
+            raise ValueError(f"unknown stage {stage!r}; expected one of {STAGE_LABELS}")
+        e1, code, e2 = np.broadcast_arrays(np.atleast_1d(e1), code, e2)
         if stage == "emitted":
-            return self._emitted
-        if e1 not in self._prefix:
-            stored = self._emitted
-            if e1 >= 0:
-                stored = intercept_resend(stored, "B", _ZX_BASES[e1])
-            self._prefix[e1] = (stored, apply_channel(self._dephase_a, "A", stored))
-        stored, rho = self._prefix[e1]
+            return np.repeat(self._emitted[None], e1.size, axis=0)
+        rows = e1 + 1
+        new = np.flatnonzero((np.bincount(rows, minlength=3) > 0) & ~self._built)
+        if new.size:
+            for r in new.tolist():
+                self._stored[r] = (
+                    intercept_resend(self._emitted, "B", _ZX_BASES[r - 1]) if r else self._emitted
+                )
+            self._retrieved[new] = apply_channel(self._dephase_a, "A", self._stored[new])
+            self._built[new] = True
         if stage == "stored_both":
-            return stored
+            return self._stored[rows]
+        rho = self._retrieved[rows]
         if stage == "retrieved_sender":
             return rho
         if stage == "encoded":
-            rho = apply_local(encode_unitary(_CODE_LIST[code]), "A", rho)
-        elif stage != "retrieved_both":
-            raise ValueError(f"unknown stage {stage!r}; expected one of {STAGE_LABELS}")
-        if e2 >= 0:
-            rho = intercept_resend(rho, "A", _ZX_BASES[e2])
+            rho = apply_local(_ENCODE_UNITARIES[code], "A", rho)
+        for e, basis in enumerate(_ZX_BASES):
+            at = e2 == e
+            if at.any():
+                rho[at] = intercept_resend(rho[at], "A", basis)
         rho = apply_channel(self._hop_noise, "A", rho)
         return apply_channel(self._dephase_b, "B", rho)
 
@@ -395,27 +437,36 @@ def _draw_eve_bases(policy: BasisPolicy, n: int, rng: np.random.Generator) -> ND
     return rng.integers(0, 2, size=n).astype(np.int8)
 
 
+def _present(key: NDArray[np.integer], n_keys: int) -> tuple[NDArray[np.intp], NDArray[np.int8]]:
+    """The distinct values of ``key`` (ascending) and each entry's row among them."""
+    present = np.flatnonzero(np.bincount(key, minlength=n_keys))
+    row_of = np.zeros(n_keys, dtype=np.int8)
+    row_of[present] = np.arange(present.size)
+    return present, row_of[key]
+
+
 def _check1_qber(
     states: PairStates, check: NDArray[np.bool_], eve1: NDArray[np.int8], seed: int
 ) -> float:
     """Sampled error rate of the pre-encoding check over the pairs in ``check``.
 
     Both halves of a check pair are measured in one shared basis, Z or X
-    with equal probability; an error is a disagreement.  All pairs of one
-    ``(e1, basis)`` branch are resolved together.  NaN when no pair took
-    part.
+    with equal probability; an error is a disagreement.  Each ``(e1, basis)``
+    branch present is one row of an outcome table, and every pair is
+    resolved in one gathered call.  NaN when no pair took part.
     """
     n = check.size
     x_basis = stream_rng(seed, "check_basis").random(n)[check] >= 0.5
     u = stream_rng(seed, "check_outcome").random(n)[check]
-    key = (eve1[check] + 1) * 2 + x_basis
-    errors = 0
-    for branch in np.flatnonzero(np.bincount(key)).tolist():
-        e1, x = divmod(branch, 2)
-        basis = _ZX_BASES[x]
-        probs = outcome_probs(states("retrieved_sender", e1 - 1), basis, basis)
-        k = resolve_outcomes(probs, u[key == branch])
-        errors += int(np.count_nonzero((k == 1) | (k == 2)))  # outcomes +- and -+
+    present, rows = _present((eve1[check] + 1) * 2 + x_basis, 6)
+    probs = np.empty((present.size, 4))
+    for x, basis in enumerate(_ZX_BASES):
+        at = present % 2 == x
+        if at.any():
+            rho = states.table("retrieved_sender", present[at] // 2 - 1)
+            probs[at] = outcome_probs(rho, basis, basis)
+    k = resolve_outcomes(probs, u, rows)
+    errors = int(np.count_nonzero((k == 1) | (k == 2)))  # outcomes +- and -+
     return errors / u.size if u.size else float("nan")
 
 
@@ -433,7 +484,8 @@ def _decode_pairs(
 
     Message groups go, in pair order, to the message slots whose sender
     memory returned its qubit; slots beyond the last group carry nothing.
-    All pairs of one ``(code, e1, e2)`` branch are resolved together.
+    Each ``(code, e1, e2)`` branch present is one row of a Bell-overlap
+    table, and every pair is resolved in one gathered call.
 
     Returns:
         ``(qber2, lost, decoded, groups, erasures)``: the decoy error rate
@@ -459,14 +511,11 @@ def _decode_pairs(
     code[~decoy] = codes[group[~decoy]]
     u = stream_rng(seed, "bsm").random(n)[at_bsm]
 
-    key = (code * 3 + eve1[at_bsm] + 1) * 3 + eve2[at_bsm] + 1
-    k = np.empty(key.size, dtype=np.int8)
-    for branch in np.flatnonzero(np.bincount(key)).tolist():
-        branch_code, rest = divmod(branch, 9)
-        e1, e2 = divmod(rest, 3)
-        at = key == branch
-        overlaps = bell_overlaps(states("encoded", e1 - 1, branch_code, e2 - 1))
-        k[at] = resolve_bsm(overlaps, config.bsm_mode, u[at])
+    present, rows = _present((code * 3 + eve1[at_bsm] + 1) * 3 + eve2[at_bsm] + 1, 36)
+    branch_code, rest = np.divmod(present, 9)
+    e1, e2 = np.divmod(rest, 3)
+    overlaps = bell_overlaps(states.table("encoded", e1 - 1, branch_code, e2 - 1))
+    k = resolve_bsm(overlaps, config.bsm_mode, u, rows)
 
     erased = k == ERASURE
     compared = decoy & ~erased
@@ -521,11 +570,12 @@ def run_session(
         )
 
     # Duty-cycle accounting: how many attempt cycles the block consumed.
-    r_cycles = stream_rng(seed, "cycles")
+    # The cycle stream is drawn from only when generation can fail; streams
+    # are independent by tag, so skipping it changes no other draw.
     if config.gen_prob_per_cycle >= 1.0:
         cycles = n
     else:
-        cycles = int(r_cycles.geometric(config.gen_prob_per_cycle, size=n).sum())
+        cycles = int(stream_rng(seed, "cycles").geometric(config.gen_prob_per_cycle, size=n).sum())
     periods = -(-cycles // config.duty_cycles_per_period)
     sim_time_s = periods * config.period_ms * 1e-3
 
@@ -556,7 +606,7 @@ def run_session(
     if capture_trace:
         ti = int(np.argmax(roles == _ROLE_MSG))  # first message pair (0 if none)
         branch = (int(eve1[ti]), int(codes[0]) if codes.size else 0, int(eve2[ti]))
-        trace = StageTrace(tuple((label, states(label, *branch).copy()) for label in STAGE_LABELS))
+        trace = StageTrace(tuple((label, states(label, *branch)) for label in STAGE_LABELS))
 
     # A NaN error rate (no pair compared) never exceeds the threshold.
     qber1 = _check1_qber(states, (roles == _ROLE_C1) & ok_a, eve1, seed)

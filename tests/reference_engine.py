@@ -3,7 +3,12 @@
 This is the session engine as first written, kept unchanged as an
 independent oracle for ``qsdc.protocol.run_session``: it walks the pairs one
 at a time, memoizes branch states in local closures, and resolves every
-outcome with its own ``searchsorted`` call.  ``tests/test_reference_engine.py``
+outcome with its own ``searchsorted`` call.  The one-matrix state functions
+it builds those states with (``lift_local``, ``apply_local``,
+``reduced_density``, ``apply_channel`` and ``intercept_resend``) are kept
+here too, in their original form, so the oracle does not share the stacked
+state code it checks; ``branch_state`` exposes them for one branch at a
+time.  ``tests/test_reference_engine.py``
 asserts that both engines return equal results over random configurations.
 Too slow for real sessions; use it only from tests.
 """
@@ -19,15 +24,18 @@ from numpy.typing import NDArray
 from qsdc.core import (
     BELL_ORDER,
     BELL_TO_CODE,
+    PAULI_I,
+    PAULI_Z,
+    SIDES,
+    UNITARY_ATOL,
     BellLabel,
     TwoBitCode,
-    apply_local,
     bell_density,
     encode_unitary,
 )
 from qsdc.errors import CapacityError, TimingError
-from qsdc.measurement import BsmMode, LocalBasis, bell_overlaps, outcome_probs
-from qsdc.noise import ChannelSpec, NoiseKind, apply_channel
+from qsdc.measurement import BsmMode, LocalBasis, basis_kets, bell_overlaps, outcome_probs
+from qsdc.noise import ChannelSpec, NoiseKind
 from qsdc.protocol import (
     STAGE_LABELS,
     AbortStage,
@@ -36,10 +44,121 @@ from qsdc.protocol import (
     SessionConfig,
     SessionResult,
     StageTrace,
-    intercept_resend,
     plan_timing,
 )
 from qsdc.rng import stream_rng
+
+
+def _check_side(side: str) -> None:
+    if side not in SIDES:
+        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+
+
+def lift_local(u: NDArray[np.complex128], side: str) -> NDArray[np.complex128]:
+    """Embed a 2x2 operator as a 4x4 one acting on the given side only."""
+    _check_side(side)
+    op = np.asarray(u, dtype=complex)
+    if op.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 operator, got shape {op.shape}")
+    return np.kron(op, PAULI_I) if side == "A" else np.kron(PAULI_I, op)
+
+
+def apply_local(u: NDArray[np.complex128], side: str, state: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """Conjugate a two-qubit density matrix by a single-qubit unitary.
+
+    Args:
+        u: 2x2 unitary.
+        side: ``"A"`` (first tensor factor) or ``"B"`` (second).
+        state: 4x4 density matrix.
+
+    Returns:
+        ``(U x I) state (U x I)^dagger`` (or ``I x U`` for side B).
+
+    Raises:
+        ValueError: If ``u`` is not unitary to within ``UNITARY_ATOL``, or if
+            shapes are wrong.
+    """
+    op = np.asarray(u, dtype=complex)
+    if op.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 operator, got shape {op.shape}")
+    dev = float(np.max(np.abs(op @ op.conj().T - PAULI_I)))
+    if dev > UNITARY_ATOL:
+        raise ValueError(f"operator is not unitary: max |U U^dag - I| = {dev:.3g}")
+    rho = np.asarray(state, dtype=complex)
+    if rho.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
+    big = lift_local(op, side)
+    return big @ rho @ big.conj().T
+
+
+def reduced_density(state: NDArray[np.complex128], keep: str) -> NDArray[np.complex128]:
+    """Partial trace of a two-qubit density matrix.
+
+    Args:
+        state: 4x4 density matrix.
+        keep: Which side's 2x2 reduced state to return (``"A"`` or ``"B"``).
+    """
+    _check_side(keep)
+    rho = np.asarray(state, dtype=complex).reshape(2, 2, 2, 2)
+    if keep == "A":
+        return np.einsum("abcb->ac", rho)
+    return np.einsum("abac->bc", rho)
+
+
+def apply_channel(spec: ChannelSpec, side: str, state: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """Send one side of a two-qubit state through a noise channel.
+
+    For depolarizing noise the affected qubit is replaced, with probability
+    ``p``, by the maximally mixed state while the other side keeps its
+    reduced state:  ``rho -> (1-p) rho + p (I/2 (x) tr_side rho)``.  For
+    dephasing the map is ``rho -> (1-p) rho + p (Z rho Z)`` on the chosen
+    side.  Both are exact density-matrix maps; nothing is sampled.
+
+    Args:
+        spec: Channel kind and strength.
+        side: ``"A"`` or ``"B"``.
+        state: 4x4 density matrix.
+
+    Returns:
+        The transformed 4x4 density matrix.
+    """
+    _check_side(side)
+    rho = np.asarray(state, dtype=complex)
+    if rho.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
+    if spec.kind is NoiseKind.NONE or spec.p == 0.0:
+        return rho.copy()
+    if spec.kind is NoiseKind.DEPHASING:
+        flipped = apply_local(PAULI_Z, side, rho)
+        return (1.0 - spec.p) * rho + spec.p * flipped
+    # Depolarizing: keep the untouched side's marginal, mix the noisy side.
+    other = "B" if side == "A" else "A"
+    marginal = reduced_density(rho, other)
+    if side == "A":
+        replaced = np.kron(PAULI_I / 2.0, marginal)
+    else:
+        replaced = np.kron(marginal, PAULI_I / 2.0)
+    return (1.0 - spec.p) * rho + spec.p * replaced
+
+
+def intercept_resend(
+    state: NDArray[np.complex128], side: str, basis: LocalBasis
+) -> NDArray[np.complex128]:
+    """Exact state change from an intercept-resend attack on one qubit.
+
+    The attacker measures the chosen side projectively in ``basis`` and
+    resends the eigenstate found.  Averaged over the (unknown) outcomes the
+    state becomes ``sum_k P_k rho P_k``, which is what every honest-party
+    statistic sees; no sampling of the attacker's result is needed.
+    """
+    rho = np.asarray(state, dtype=complex)
+    if rho.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
+    out = np.zeros_like(rho)
+    for ket in basis_kets(basis):
+        proj = lift_local(np.outer(ket, ket.conj()), side)
+        out += proj @ rho @ proj.conj().T
+    return out
 
 
 @dataclass(frozen=True)
@@ -117,6 +236,34 @@ def estimate_qber(records: Iterable[CheckRecord]) -> float:
 
 _CODE_LIST = tuple(TwoBitCode)
 _EVE_BASIS = {0: LocalBasis.Z, 1: LocalBasis.X}
+
+
+def branch_state(
+    config: SessionConfig, stage: str, e1: int = -1, code: int = 0, e2: int = -1
+) -> NDArray[np.complex128]:
+    """The state of one branch after ``stage``, one matrix at a time.
+
+    The same steps ``run_session``'s closures take, in the same order: the
+    branch is the attack basis ``e1`` on the distribution hop, the code
+    index ``code`` and the attack basis ``e2`` on the encoded hop (-1 for
+    no attack, 0 for Z, 1 for X).
+    """
+    rho = apply_channel(config.source_noise, "A", bell_density(BellLabel.PHI_PLUS))
+    if stage == STAGE_LABELS[0]:
+        return rho
+    if e1 >= 0:
+        rho = intercept_resend(rho, "B", _EVE_BASIS[e1])
+    if stage == STAGE_LABELS[1]:
+        return rho
+    rho = apply_channel(ChannelSpec(NoiseKind.DEPHASING, config.memory_a.dephase_p), "A", rho)
+    if stage == STAGE_LABELS[2]:
+        return rho
+    if stage == STAGE_LABELS[4]:
+        rho = apply_local(encode_unitary(_CODE_LIST[code]), "A", rho)
+    if e2 >= 0:
+        rho = intercept_resend(rho, "A", _EVE_BASIS[e2])
+    rho = apply_channel(config.hop_noise, "A", rho)
+    return apply_channel(ChannelSpec(NoiseKind.DEPHASING, config.memory_b.dephase_p), "B", rho)
 
 
 def _draw_eve_bases(policy: BasisPolicy, n: int, rng: np.random.Generator) -> NDArray[np.int8]:

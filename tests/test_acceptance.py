@@ -8,13 +8,17 @@ blows its runtime budget.
 
 import itertools
 import math
+import os
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import qsdc
 
 from qsdc.core import (
     BellLabel,
@@ -329,6 +333,10 @@ def test_10_cli_byte_determinism(capsys, tmp_path):
             ["calibrate", "--fidelity", "0.9", "--channel", "dephase"],
             ["attack-demo", "-c", str(cfg)],
         ]
+        # The child interpreters import the same package this test imports,
+        # installed or not.
+        path = (str(Path(qsdc.__file__).parents[1]), os.environ.get("PYTHONPATH", ""))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         for argv in commands:
             outputs = []
             for _ in range(2):
@@ -336,6 +344,7 @@ def test_10_cli_byte_determinism(capsys, tmp_path):
                     [sys.executable, "-m", "qsdc", *argv],
                     capture_output=True,
                     check=False,
+                    env=env,
                 )
                 assert proc.returncode == 0, proc.stderr.decode()
                 outputs.append(proc.stdout)

@@ -209,6 +209,28 @@ class TestApplyLocal:
         np.testing.assert_allclose(lift_local(PAULI_Z, "A"), np.kron(PAULI_Z, PAULI_I), atol=0)
         np.testing.assert_allclose(lift_local(PAULI_Z, "B"), np.kron(PAULI_I, PAULI_Z), atol=0)
 
+    def test_stack_matches_per_matrix(self):
+        rng = np.random.default_rng(9)
+        states = np.stack([random_density(rng) for _ in range(4)])
+        unitaries = np.stack([random_unitary(rng) for _ in range(4)])
+        for side in ("A", "B"):
+            lifted = lift_local(unitaries, side)
+            for u, big in zip(unitaries, lifted):
+                kron = np.kron(u, PAULI_I) if side == "A" else np.kron(PAULI_I, u)
+                assert big.tobytes() == kron.tobytes()
+            # One unitary per matrix, and one unitary shared by the stack.
+            for ops in (unitaries, np.broadcast_to(unitaries[0], unitaries.shape)):
+                out = apply_local(ops, side, states)
+                assert out.shape == (4, 4, 4)
+                for got, u, rho in zip(out, ops, states):
+                    assert got.tobytes() == apply_local(u, side, rho).tobytes()
+            assert apply_local(unitaries[0], side, states).tobytes() == out.tobytes()
+        with pytest.raises(ValueError, match="4x4"):
+            apply_local(unitaries, "A", states[:, :3])
+        unitaries[2] *= 1.1
+        with pytest.raises(ValueError, match="unitary"):
+            apply_local(unitaries, "A", states)
+
 
 class TestFidelity:
     def test_self_fidelity_is_one(self):

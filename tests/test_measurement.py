@@ -94,6 +94,18 @@ class TestOutcomeProbs:
             assert np.all(probs >= 0.0)
             assert probs.sum() == pytest.approx(1.0, abs=1e-10)
 
+    def test_stack_matches_per_matrix(self):
+        rng = np.random.default_rng(21)
+        stack = np.stack([[random_density(rng) for _ in range(3)] for _ in range(2)])
+        for a in LocalBasis:
+            for b in LocalBasis:
+                probs = outcome_probs(stack, a, b)
+                assert probs.shape == (2, 3, 4)
+                for idx in np.ndindex(2, 3):
+                    assert probs[idx].tobytes() == outcome_probs(stack[idx], a, b).tobytes()
+        with pytest.raises(ValueError, match="4x4"):
+            outcome_probs(stack[..., :3, :], LocalBasis.Z, LocalBasis.Z)
+
 
 class TestSampleCounts:
     def test_counts_sum_to_shots(self):
@@ -142,6 +154,16 @@ class TestBellOverlaps:
     def test_isotropic_mixture_splits_remainder_evenly(self):
         overlaps = bell_overlaps(werner(0.87))
         np.testing.assert_allclose(overlaps, [0.87, 0.13 / 3, 0.13 / 3, 0.13 / 3], atol=1e-9)
+
+    def test_stack_matches_per_matrix(self):
+        rng = np.random.default_rng(22)
+        stack = np.stack([random_density(rng) for _ in range(6)] + [bell_density(BellLabel.PSI_PLUS)])
+        overlaps = bell_overlaps(stack)
+        assert overlaps.shape == (7, 4)
+        for got, rho in zip(overlaps, stack):
+            assert got.tobytes() == bell_overlaps(rho).tobytes()
+        with pytest.raises(ValueError, match="4x4"):
+            bell_overlaps(stack[:, :3])
 
 
 class TestBsm:
@@ -198,6 +220,49 @@ class TestBsm:
             cum = np.cumsum(p / p.sum())
             expected = [min(int(np.searchsorted(cum, x, side="right")), 3) for x in u]
             assert resolve_outcomes(p, u).tolist() == expected
+
+
+class TestResolveOutcomes:
+    """The gathered inverse CDF: one ``(K, 4)`` table, one row per draw."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        probs = np.array([bad, 0.5, 0.5, 0.0])
+        u = [0.1, 0.6, 0.99]
+        with pytest.raises(ValueError, match="finite"):
+            resolve_outcomes(probs, u)
+        table = np.stack([[0.25] * 4, probs])
+        with pytest.raises(ValueError, match="finite"):
+            resolve_outcomes(table, u, [0, 0, 1])
+        with pytest.raises(ValueError, match="finite"):
+            resolve_bsm(probs, BsmMode.IDEAL, u)
+
+    def test_gathered_matches_per_row_searchsorted_on_edges(self):
+        rng = np.random.default_rng(14)
+        table = rng.random((6, 4)) * (rng.random((6, 4)) < 0.7)
+        table[:, 3] += 0.05
+        cums = [np.cumsum(p / p.sum()) for p in table]
+        # Every cumulative edge of every row, its neighbours, and the ends.
+        edges = np.concatenate([np.concatenate((c, np.nextafter(c, 0), np.nextafter(c, 2))) for c in cums])
+        u = np.concatenate((edges, [0.0, np.nextafter(1.0, 0)], rng.random(100)))
+        rows = rng.integers(0, 6, size=u.size)
+        expected = [min(int(np.searchsorted(cums[r], x, side="right")), 3) for r, x in zip(rows, u)]
+        k = resolve_outcomes(table, u, rows)
+        assert k.dtype == np.int8
+        assert k.tolist() == expected
+        for r in range(6):
+            assert resolve_outcomes(table[r], u[rows == r]).tolist() == list(
+                np.array(expected)[rows == r]
+            )
+
+    def test_caps_at_three_when_last_entry_rounds_below_one(self):
+        probs = np.array([0.86, 0.03, 0.73, 0.18])
+        cum = np.cumsum(probs / probs.sum())
+        assert cum[-1] < 1.0
+        u = [cum[-1], np.nextafter(1.0, 0)]
+        assert np.searchsorted(cum, u, side="right").tolist() == [4, 4]
+        assert resolve_outcomes(probs, u).tolist() == [3, 3]
+        assert resolve_outcomes(np.stack([np.ones(4), probs]), u, [1, 1]).tolist() == [3, 3]
 
 
 class TestLinearOptics:

@@ -110,6 +110,22 @@ class TestDephasing:
         np.testing.assert_allclose(out, np.diag([0.5, 0, 0, 0.5]), atol=1e-14)
 
 
+class TestChannelStack:
+    @pytest.mark.parametrize("p", [0.0, 0.37])
+    @pytest.mark.parametrize("side", ["A", "B"])
+    @pytest.mark.parametrize("kind", [NoiseKind.DEPOLARIZING, NoiseKind.DEPHASING])
+    def test_stack_matches_per_matrix(self, kind, side, p):
+        rng = np.random.default_rng(17)
+        stack = np.stack([[random_density(rng) for _ in range(3)] for _ in range(2)])
+        spec = ChannelSpec(kind, p)
+        out = apply_channel(spec, side, stack)
+        assert out.shape == (2, 3, 4, 4)
+        for idx in np.ndindex(2, 3):
+            assert out[idx].tobytes() == apply_channel(spec, side, stack[idx]).tobytes()
+        with pytest.raises(ValueError, match="4x4"):
+            apply_channel(spec, side, stack[..., :3])
+
+
 class TestChannelPhysicality:
     def test_random_chains_stay_physical(self):
         rng = np.random.default_rng(3)

@@ -167,6 +167,22 @@ class TestInterceptResend:
         out = intercept_resend(bell_density(BellLabel.PSI_MINUS), "A", LocalBasis.X)
         assert abs(np.trace(out) - 1.0) < 1e-13
 
+    def test_stack_matches_per_matrix(self):
+        rng = np.random.default_rng(19)
+        g = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+        stack = g @ g.conj().swapaxes(-1, -2)
+        stack /= np.trace(stack, axis1=-2, axis2=-1)[:, None, None]
+        for basis in LocalBasis:
+            for side in ("A", "B"):
+                out = intercept_resend(stack, side, basis)
+                assert out.shape == (5, 4, 4)
+                for got, rho in zip(out, stack):
+                    assert got.tobytes() == intercept_resend(rho, side, basis).tobytes()
+        with pytest.raises(ValueError, match="side"):
+            intercept_resend(stack, "C", LocalBasis.Z)
+        with pytest.raises(ValueError, match="4x4"):
+            intercept_resend(stack[:, :3], "A", LocalBasis.Z)
+
 
 class TestRunSessionIdeal:
     def test_noiseless_message_recovery(self):

@@ -6,6 +6,12 @@ the message slots, so capacity errors and messages longer than the
 surviving slots both occur), both engines must return equal results: every
 ``SessionResult`` field, with the same Python types, and bit-identical
 trace states.
+
+``PairStates``' stacked branch table must also equal the reference's
+one-matrix states (``reference_engine.branch_state``) bit for bit, for every
+branch key the engine can meet, under random noise; and the stack-aware
+state functions must equal the reference's original one-matrix functions bit
+for bit on random states, one matrix or a whole stack at a time.
 """
 
 import dataclasses
@@ -17,9 +23,19 @@ from hypothesis import strategies as st
 
 import reference_engine
 from qsdc.errors import CapacityError
-from qsdc.measurement import BsmMode
-from qsdc.noise import ChannelSpec, MemorySpec, NoiseKind
-from qsdc.protocol import BasisPolicy, EveKind, EveStrategy, SessionConfig, run_session
+from qsdc.core import apply_local, lift_local, reduced_density
+from qsdc.measurement import BsmMode, LocalBasis, bell_overlaps, outcome_probs
+from qsdc.noise import ChannelSpec, MemorySpec, NoiseKind, apply_channel
+from qsdc.protocol import (
+    STAGE_LABELS,
+    BasisPolicy,
+    EveKind,
+    EveStrategy,
+    PairStates,
+    SessionConfig,
+    intercept_resend,
+    run_session,
+)
 
 probability = st.floats(0.0, 1.0)
 channels = st.builds(ChannelSpec, st.sampled_from(NoiseKind), st.floats(0.0, 0.4))
@@ -77,3 +93,63 @@ def test_matches_reference_engine(session):
     assert got.trace.labels == expected.trace.labels
     for (_, a), (_, b) in zip(got.trace.stages, expected.trace.stages):
         np.testing.assert_array_equal(a, b)
+
+
+# Every (code, e1, e2) analyzer key and every (e1, basis) check key, in the
+# engine's key order.
+ANALYZER_KEYS = np.array([(c, e1, e2) for c in range(4) for e1 in (-1, 0, 1) for e2 in (-1, 0, 1)])
+CHECK_KEYS = [(e1, basis) for e1 in (-1, 0, 1) for basis in (LocalBasis.Z, LocalBasis.X)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(channels, channels, memories, memories)
+def test_pair_state_table_matches_reference(source, hop, memory_a, memory_b):
+    config = SessionConfig(source_noise=source, hop_noise=hop, memory_a=memory_a, memory_b=memory_b)
+    code, e1, e2 = ANALYZER_KEYS.T
+    table = PairStates(config).table("encoded", e1, code, e2)
+    assert table.shape == (36, 4, 4)
+    overlaps = bell_overlaps(table)
+    for row, key in enumerate(ANALYZER_KEYS.tolist()):
+        expected = reference_engine.branch_state(config, "encoded", key[1], key[0], key[2])
+        assert table[row].tobytes() == expected.tobytes()
+        assert overlaps[row].tobytes() == bell_overlaps(expected).tobytes()
+
+    states = PairStates(config)
+    check = states.table("retrieved_sender", [e1 for e1, _ in CHECK_KEYS])
+    for basis in (LocalBasis.Z, LocalBasis.X):
+        probs = outcome_probs(check, basis, basis)
+        for row, (e1, _) in enumerate(CHECK_KEYS):
+            expected = reference_engine.branch_state(config, "retrieved_sender", e1)
+            assert check[row].tobytes() == expected.tobytes()
+            assert probs[row].tobytes() == outcome_probs(expected, basis, basis).tobytes()
+
+    # The scalar call is one row of the same table, at every stage.
+    for label in STAGE_LABELS:
+        for c, a, b in ANALYZER_KEYS.tolist():
+            expected = reference_engine.branch_state(config, label, a, c, b)
+            assert states(label, a, c, b).tobytes() == expected.tobytes()
+
+
+def test_state_functions_match_reference():
+    rng = np.random.default_rng(23)
+    g = rng.normal(size=(50, 4, 4)) + 1j * rng.normal(size=(50, 4, 4))
+    stack = g @ g.conj().swapaxes(-1, -2)
+    stack /= np.trace(stack, axis1=-2, axis2=-1).real[:, None, None]
+    ops = np.linalg.qr(rng.normal(size=(50, 2, 2)) + 1j * rng.normal(size=(50, 2, 2)))[0]
+    ref = reference_engine
+    for side in ("A", "B"):
+        pairs = [
+            (lift_local(ops, side), [ref.lift_local(u, side) for u in ops]),
+            (apply_local(ops, side, stack), [ref.apply_local(u, side, r) for u, r in zip(ops, stack)]),
+            (reduced_density(stack, side), [ref.reduced_density(r, side) for r in stack]),
+        ]
+        for kind in (NoiseKind.DEPOLARIZING, NoiseKind.DEPHASING):
+            spec = ChannelSpec(kind, 0.3)
+            expected = [ref.apply_channel(spec, side, r) for r in stack]
+            pairs.append((apply_channel(spec, side, stack), expected))
+        for basis in LocalBasis:
+            pairs.append(
+                (intercept_resend(stack, side, basis), [ref.intercept_resend(r, side, basis) for r in stack])
+            )
+        for got, expected in pairs:
+            assert got.tobytes() == np.stack(expected).tobytes()
