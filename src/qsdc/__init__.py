@@ -63,7 +63,6 @@ from .protocol import (
     PairStates,
     SessionConfig,
     SessionResult,
-    StageTrace,
     TimingPlan,
     encode_message,
     intercept_resend,

@@ -13,13 +13,12 @@ Exactly one of ``message`` (a literal bit string) or ``message_random_bits``
 from __future__ import annotations
 
 import dataclasses
+import enum
 import math
 from dataclasses import dataclass
 
 from .errors import ConfigParseError, ValidationError
-from .measurement import BsmMode
-from .noise import NoiseKind
-from .protocol import BasisPolicy, EveKind, SessionConfig
+from .protocol import SessionConfig
 from .rng import random_bits
 
 
@@ -57,45 +56,34 @@ def _enum_parser(enum_cls):
     return parse
 
 
-#: key -> value parser.  This table is the authority on which keys exist.
+def _leaves(cls, prefix: str = ""):
+    """Yield ``(key, default)`` per leaf of ``cls``; a nested spec gives ``<field>_<subfield>``."""
+    for f in dataclasses.fields(cls):
+        key = prefix + f.name
+        if dataclasses.is_dataclass(f.default):
+            yield from _leaves(type(f.default), key + "_")
+        else:
+            yield key, f.default
+
+
+def _parser_for(default):
+    if isinstance(default, enum.Enum):
+        return _enum_parser(type(default))
+    return {bool: _parse_bool, int: int, float: _parse_float}[type(default)]
+
+
+#: key -> value parser: each :class:`SessionConfig` leaf by the type of its
+#: default, plus the run keys.  This table is the authority on which keys exist.
 KEY_PARSERS = {
-    "n_pairs": int,
-    "check_fraction": _parse_float,
-    "qber_threshold": _parse_float,
-    "distance_m": _parse_float,
-    "op_time_ns": _parse_float,
-    "light_speed_m_per_ns": _parse_float,
-    "source_noise_kind": _enum_parser(NoiseKind),
-    "source_noise_p": _parse_float,
-    "hop_noise_kind": _enum_parser(NoiseKind),
-    "hop_noise_p": _parse_float,
-    "transmittance": _parse_float,
-    "memory_a_eta0": _parse_float,
-    "memory_a_tau_ns": _parse_float,
-    "memory_a_dephase_p": _parse_float,
-    "memory_b_eta0": _parse_float,
-    "memory_b_tau_ns": _parse_float,
-    "memory_b_dephase_p": _parse_float,
-    "storage_a_ns": _parse_float,
-    "storage_b_ns": _parse_float,
-    "bsm_mode": _enum_parser(BsmMode),
-    "eve_kind": _enum_parser(EveKind),
-    "eve_basis_policy": _enum_parser(BasisPolicy),
-    "eve_on_encoded_hop": _parse_bool,
-    "gen_prob_per_cycle": _parse_float,
-    "cycle_time_ns": _parse_float,
-    "duty_cycles_per_period": int,
-    "period_ms": _parse_float,
+    **{key: _parser_for(default) for key, default in _leaves(SessionConfig)},
     "seed": int,
     "message": _parse_bits,
     "message_random_bits": int,
 }
 
-#: Keys that a parameter sweep may vary, with the caster applied to grid values.
+#: The numeric leaves, which a sweep may vary, with the caster applied to grid values.
 SWEEP_KEYS = {
-    key: parser
-    for key, parser in KEY_PARSERS.items()
-    if parser in (int, _parse_float) and key not in ("seed", "message_random_bits")
+    k: KEY_PARSERS[k] for k, default in _leaves(SessionConfig) if type(default) in (int, float)
 }
 
 
@@ -130,13 +118,7 @@ def parse_config_text(text: str) -> dict[str, object]:
 
 
 def _from_keys(cls, values: dict[str, object], prefix: str = ""):
-    """Build dataclass ``cls`` from the keys ``prefix + field name``.
-
-    A field whose default is itself a dataclass (a channel, memory or
-    attacker spec) is built from the keys ``<field>_<subfield>``.  Fields
-    without a key keep the dataclass default, so the defaults live only in
-    the dataclasses.
-    """
+    """Build ``cls`` from the keys :func:`_leaves` names; absent keys keep their default."""
     kwargs = {}
     for f in dataclasses.fields(cls):
         key = prefix + f.name
@@ -218,5 +200,11 @@ class SweepSpec:
             raise ValidationError(f"cannot sweep {self.param!r}; numeric keys are: {valid}")
         if len(self.grid) < 1:
             raise ValidationError("sweep grid must contain at least one value")
+        if any(math.isnan(value) for value in self.grid):
+            raise ValidationError(f"--grid values must be numbers, got {self.grid}")
+        if SWEEP_KEYS[self.param] is int and not all(map(math.isfinite, self.grid)):
+            raise ValidationError(
+                f"--grid values for integer key {self.param!r} must be finite, got {self.grid}"
+            )
         if self.trials < 1:
             raise ValidationError(f"trials must be positive, got {self.trials}")

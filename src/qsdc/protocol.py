@@ -24,7 +24,7 @@ reproduce results exactly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -325,7 +325,8 @@ class PairStates:
     * ``encoded``: the same path with the code's unitary applied on A
       first, i.e. the pair as it enters the Bell analyzer.
 
-    The call ``states(stage, e1, code, e2)`` is row 0 of a one-branch table.
+    The call ``states(stage, e1, code, e2)`` is row 0 of a one-branch table;
+    ``qsdc tomo`` and the tests inspect one branch's stages through it.
 
     Loss is heralded, so these are the surviving-path states.  The prefix
     up to ``retrieved_sender`` is built on first use for each ``e1`` asked
@@ -383,21 +384,6 @@ class PairStates:
         return apply_channel(self._dephase_b, "B", rho)
 
 
-@dataclass(frozen=True, eq=False)
-class StageTrace:
-    """Exact pair state after each pipeline stage, for one message pair.
-
-    Stages follow ``STAGE_LABELS`` (see :class:`PairStates`); the branch is
-    that of the first message pair, carrying the first message group.
-    """
-
-    stages: tuple[tuple[str, NDArray[np.complex128]], ...]
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.stages)
-
-
 @dataclass(frozen=True)
 class SessionResult:
     """Outcome of one session.
@@ -423,7 +409,6 @@ class SessionResult:
     bit_rate_per_s: float
     simulated_time_s: float
     message_padded: bool
-    trace: StageTrace | None = field(default=None, compare=False)
 
 
 _ROLE_MSG, _ROLE_C1, _ROLE_C2 = 0, 1, 2
@@ -531,7 +516,6 @@ def run_session(
     config: SessionConfig,
     message: str | Sequence[int],
     seed: int,
-    capture_trace: bool = False,
 ) -> SessionResult:
     """Simulate one full session.
 
@@ -539,8 +523,6 @@ def run_session(
         config: Validated session parameters.
         message: Bit string (or 0/1 sequence) to transmit.
         seed: Non-negative integer; the only source of randomness.
-        capture_trace: Also record the exact pair state after each pipeline
-            stage for the first message pair.
 
     Returns:
         A :class:`SessionResult`; identical inputs give identical results.
@@ -602,11 +584,6 @@ def run_session(
     pairs_lost = int(np.count_nonzero(~ok_a))
 
     states = PairStates(config)
-    trace = None
-    if capture_trace:
-        ti = int(np.argmax(roles == _ROLE_MSG))  # first message pair (0 if none)
-        branch = (int(eve1[ti]), int(codes[0]) if codes.size else 0, int(eve2[ti]))
-        trace = StageTrace(tuple((label, states(label, *branch)) for label in STAGE_LABELS))
 
     # A NaN error rate (no pair compared) never exceeds the threshold.
     qber1 = _check1_qber(states, (roles == _ROLE_C1) & ok_a, eve1, seed)
@@ -641,7 +618,6 @@ def run_session(
         bit_rate_per_s=len(decoded_bits) / sim_time_s,
         simulated_time_s=sim_time_s,
         message_padded=encoded.padded,
-        trace=trace,
     )
 
 

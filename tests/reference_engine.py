@@ -43,7 +43,6 @@ from qsdc.protocol import (
     EveKind,
     SessionConfig,
     SessionResult,
-    StageTrace,
     plan_timing,
 )
 from qsdc.rng import stream_rng
@@ -278,7 +277,6 @@ def run_session(
     config: SessionConfig,
     message: str | Sequence[int],
     seed: int,
-    capture_trace: bool = False,
 ) -> SessionResult:
     """Simulate one full session.
 
@@ -286,8 +284,6 @@ def run_session(
         config: Validated session parameters.
         message: Bit string (or 0/1 sequence) to transmit.
         seed: Non-negative integer; the only source of randomness.
-        capture_trace: Also record the exact pair state after each pipeline
-            stage for the first message pair.
 
     Returns:
         A :class:`SessionResult`; identical inputs give identical results.
@@ -394,23 +390,6 @@ def run_session(
             _bsm_cum[key] = np.cumsum(overlaps / overlaps.sum())
         return _bsm_cum[key]
 
-    trace = None
-    if capture_trace:
-        msg_indices = np.nonzero(roles == ROLE_MSG)[0]
-        ti = int(msg_indices[0]) if msg_indices.size else 0
-        t_e1, t_e2 = int(eve1[ti]), int(eve2[ti])
-        t_code = encoded.codes[0] if encoded.codes else TwoBitCode.B00
-        plain = state_retrieved_a(t_e1)
-        trace = StageTrace(
-            stages=(
-                (STAGE_LABELS[0], rho_source.copy()),
-                (STAGE_LABELS[1], state_distributed(t_e1).copy()),
-                (STAGE_LABELS[2], plain.copy()),
-                (STAGE_LABELS[3], _finish_transit(plain, t_e2)),
-                (STAGE_LABELS[4], _finish_transit(apply_local(encode_unitary(t_code), "A", plain), t_e2)),
-            )
-        )
-
     def build_result(
         aborted_at: AbortStage,
         qber1: float,
@@ -439,7 +418,6 @@ def run_session(
             bit_rate_per_s=len(decoded_bits) / sim_time_s,
             simulated_time_s=sim_time_s,
             message_padded=encoded.padded,
-            trace=trace,
         )
 
     # --- Check 1: shared-basis correlation test before any encoding. ---

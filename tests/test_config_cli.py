@@ -1,11 +1,23 @@
 """Config-file parsing and command-line behavior."""
 
+import dataclasses
+import enum
+import itertools
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from qsdc.cli import main
-from qsdc.config import SweepSpec, build_settings, load_config, parse_config_text
+from qsdc.config import (
+    KEY_PARSERS,
+    SWEEP_KEYS,
+    SweepSpec,
+    build_settings,
+    load_config,
+    parse_config_text,
+)
 from qsdc.core import density_from_csv, validate_physical
 from qsdc.errors import ConfigParseError, ValidationError
 from qsdc.measurement import BsmMode
@@ -137,6 +149,82 @@ class TestBuildSettings:
         assert settings.config.eve.basis_policy is BasisPolicy.ALWAYS_X
 
 
+RUN_KEYS = {"seed", "message", "message_random_bits"}
+
+
+def _flat_leaves(config):
+    """``SessionConfig`` leaves keyed ``<field>_<subfield>``, built with ``asdict``."""
+
+    def walk(tree, prefix):
+        for name, value in tree.items():
+            if isinstance(value, dict):
+                yield from walk(value, prefix + name + "_")
+            else:
+                yield prefix + name, value
+
+    return dict(walk(dataclasses.asdict(config), ""))
+
+
+def _other_value(default):
+    """Config text for a valid value of the default's type that differs from it."""
+    if isinstance(default, bool):
+        return str(not default).lower()
+    if isinstance(default, enum.Enum):
+        return next(member.value for member in type(default) if member is not default)
+    if isinstance(default, int):
+        return str(default + 1)
+    if math.isinf(default):
+        return "100.0"
+    return repr(default / 2 if default else 0.5)
+
+
+class TestSchema:
+    """Every ``SessionConfig`` leaf is a config key, named after its field path."""
+
+    def test_each_key_sets_exactly_its_leaf(self):
+        defaults = _flat_leaves(SessionConfig())
+        assert set(defaults) == set(KEY_PARSERS) - RUN_KEYS
+        for key, default in defaults.items():
+            text = f"{key} = {_other_value(default)}\nmessage = 01\n"
+            got = _flat_leaves(load_config(text).config)
+            changed = {k for k in defaults if got[k] != defaults[k]}
+            assert changed == {key}
+            assert type(got[key]) is type(default)
+
+    def test_key_names_are_pinned(self):
+        assert list(KEY_PARSERS) == [
+            "n_pairs", "check_fraction", "qber_threshold", "distance_m", "op_time_ns",
+            "light_speed_m_per_ns", "source_noise_kind", "source_noise_p", "hop_noise_kind",
+            "hop_noise_p", "transmittance", "memory_a_eta0", "memory_a_tau_ns",
+            "memory_a_dephase_p", "memory_b_eta0", "memory_b_tau_ns", "memory_b_dephase_p",
+            "storage_a_ns", "storage_b_ns", "bsm_mode", "eve_kind", "eve_basis_policy",
+            "eve_on_encoded_hop", "gen_prob_per_cycle", "cycle_time_ns",
+            "duty_cycles_per_period", "period_ms", "seed", "message", "message_random_bits",
+        ]  # fmt: skip
+        assert set(SWEEP_KEYS) == set(KEY_PARSERS) - RUN_KEYS - {
+            "source_noise_kind", "hop_noise_kind", "bsm_mode", "eve_kind", "eve_basis_policy",
+            "eve_on_encoded_hop",
+        }  # fmt: skip
+        assert len(SWEEP_KEYS) == 21
+        assert {key for key, cast in SWEEP_KEYS.items() if cast is int} == {
+            "n_pairs",
+            "duty_cycles_per_period",
+        }
+
+    def test_readme_table_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Config keys", 1)[1].split("\n## ", 1)[0]
+        listed = set()
+        for row in section.splitlines():
+            if not row.startswith("| `"):
+                continue
+            for name in re.findall(r"`([^`]+)`", row.split("|")[1]):
+                parts = re.split(r"\{([^}]*)\}", name)
+                options = [part.split(",") if i % 2 else [part] for i, part in enumerate(parts)]
+                listed.update("".join(pick) for pick in itertools.product(*options))
+        assert listed == set(KEY_PARSERS)
+
+
 class TestSweepSpec:
     def test_rejects_unknown_param(self):
         with pytest.raises(ValidationError, match="cannot sweep"):
@@ -223,6 +311,17 @@ class TestCliErrorPaths:
         assert main(["run", "-c", str(path)]) == 3
         assert "timing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv", [["run"], ["sweep", "--param", "n_pairs", "--grid", "200:400:2"]]
+    )
+    def test_non_utf8_file_is_parse_error(self, tmp_path, capsys, argv):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"n_pairs = 400\nmessage = 01 \xff\n")
+        assert main([argv[0], "-c", str(path), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and "bad.cfg" in captured.err
+        assert captured.out == ""
+
 
 class TestCliSweep:
     def test_grid_shape_and_determinism(self, config_file, capsys):
@@ -290,6 +389,30 @@ class TestCliSweep:
         rc = main(["sweep", "-c", config_file, "--param", "bsm_mode", "--grid", "0:1:2"])
         assert rc == 3
         assert "cannot sweep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "param,grid",
+        [
+            ("n_pairs", "nan:1:2"),
+            ("n_pairs", "inf:1:2"),
+            ("n_pairs", "0:1e400:2"),
+            ("n_pairs", "inf:inf:1"),
+            ("n_pairs", "1:-inf:2"),
+            ("memory_a_tau_ns", "nan:1:2"),
+            ("memory_a_tau_ns", "inf:inf:2"),  # the step (inf - inf) is NaN
+        ],
+    )
+    def test_non_finite_grid_is_validation_error(self, config_file, capsys, param, grid):
+        assert main(["sweep", "-c", config_file, "--param", param, "--grid", grid]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("validation error:") and "--grid" in captured.err
+
+    def test_infinite_float_grid_point(self, config_file, capsys):
+        argv = ["sweep", "-c", config_file, "--param", "memory_a_tau_ns", "--grid", "inf:inf:1"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [ln.split(",")[:3] for ln in lines[1:]] == [["memory_a_tau_ns", "inf", "0"]]
 
 
 class TestCliTomo:

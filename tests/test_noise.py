@@ -1,6 +1,7 @@
 """Channel, loss, and memory model tests."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from qsdc.noise import (
     apply_channel,
     calibrate_noise,
 )
-from qsdc.protocol import SessionConfig, run_session
+from qsdc.protocol import STAGE_LABELS, PairStates, SessionConfig, run_session
 
 
 def random_density(rng):
@@ -164,7 +165,17 @@ class TestMemorySpec:
 def _session(seed=3, message="01" * 20, **changes):
     """One session whose losses come only from the changed memory or hop."""
     config = dataclasses.replace(SessionConfig(n_pairs=2000), **changes)
-    return config, run_session(config, message, seed, capture_trace=True)
+    return config, run_session(config, message, seed)
+
+
+def _stages(config, e1=-1, code=1, e2=-1):
+    """The state of one explicit branch after every pipeline stage.
+
+    The default branch is an unattacked pair carrying code index 1, the
+    first group of ``_session``'s default message.
+    """
+    states = PairStates(config)
+    return {label: states(label, e1, code, e2) for label in STAGE_LABELS}
 
 
 class TestMemoryStoreRetrieve:
@@ -177,9 +188,9 @@ class TestMemoryStoreRetrieve:
     """
 
     def test_perfect_memory_always_succeeds_and_preserves_state(self):
-        _, res = _session(storage_a_ns=500.0)
+        config, res = _session(storage_a_ns=500.0)
         assert res.pairs_lost == 0
-        states = dict(res.trace.stages)
+        states = _stages(config)
         np.testing.assert_allclose(states["retrieved_sender"], states["stored_both"], atol=1e-15)
 
     @pytest.mark.parametrize(
@@ -194,18 +205,21 @@ class TestMemoryStoreRetrieve:
         se = math.sqrt(expected * (1 - expected) / trials)
         assert abs(1.0 - res.pairs_lost / trials - expected) < 4 * se
 
-    def test_failure_returns_state_unchanged(self):
+    def test_lossy_and_lossless_memory_give_equal_states(self):
         # Loss is heralded: failures change how many pairs survive, never
-        # the state of the pairs that do.
-        _, lossy = _session(seed=6, memory_a=MemorySpec(eta0=0.3))
-        _, lossless = _session(seed=6)
+        # the state of the pairs that do, on any branch at any stage.
+        lossy_config, lossy = _session(seed=6, memory_a=MemorySpec(eta0=0.3))
+        lossless_config, lossless = _session(seed=6)
         assert lossy.pairs_lost > 0 and lossless.pairs_lost == 0
-        for (_, a), (_, b) in zip(lossy.trace.stages, lossless.trace.stages):
-            np.testing.assert_array_equal(a, b)
+        for e1, code, e2 in itertools.product((-1, 0, 1), range(4), (-1, 0, 1)):
+            a = _stages(lossy_config, e1, code, e2)
+            b = _stages(lossless_config, e1, code, e2)
+            for label in STAGE_LABELS:
+                np.testing.assert_array_equal(a[label], b[label])
 
     def test_success_applies_dephasing(self):
-        _, res = _session(seed=7, memory_a=MemorySpec(eta0=1.0, dephase_p=0.4))
-        states = dict(res.trace.stages)
+        config, _ = _session(seed=7, memory_a=MemorySpec(eta0=1.0, dephase_p=0.4))
+        states = _stages(config)
         expected = apply_channel(ChannelSpec(NoiseKind.DEPHASING, 0.4), "A", states["stored_both"])
         np.testing.assert_allclose(states["retrieved_sender"], expected, atol=1e-14)
 

@@ -16,6 +16,7 @@ from qsdc.protocol import (
     BasisPolicy,
     EveKind,
     EveStrategy,
+    PairStates,
     SessionConfig,
     encode_message,
     intercept_resend,
@@ -350,34 +351,31 @@ class TestLinearOpticsSession:
 
 
 class TestTrace:
+    """The state of one explicit branch after each pipeline stage."""
+
     def test_stage_labels_and_ideal_states(self):
-        res = run_session(IDEAL, "10" + "00" * 9, seed=17, capture_trace=True)
-        assert res.trace is not None
-        assert res.trace.labels == STAGE_LABELS
-        states = dict(res.trace.stages)
+        states = PairStates(IDEAL)
         phi = bell_density(BellLabel.PHI_PLUS)
         for label in STAGE_LABELS[:4]:
-            np.testing.assert_allclose(states[label], phi, atol=1e-12)
+            np.testing.assert_allclose(states(label, -1, 2, -1), phi, atol=1e-12)
         np.testing.assert_allclose(
-            states["encoded"], bell_density(BellLabel.PSI_PLUS), atol=1e-12
+            states("encoded", -1, 2, -1), bell_density(BellLabel.PSI_PLUS), atol=1e-12
         )
+        with pytest.raises(ValueError, match="unknown stage"):
+            states("decoded")
 
     def test_attack_shows_up_at_storage_stage(self):
-        cfg = with_eve(IDEAL, policy=BasisPolicy.ALWAYS_Z, qber_threshold=0.9)
-        res = run_session(cfg, "00" * 10, seed=18, capture_trace=True)
-        states = dict(res.trace.stages)
-        np.testing.assert_allclose(states["emitted"], bell_density(BellLabel.PHI_PLUS), atol=1e-12)
-        np.testing.assert_allclose(states["stored_both"], np.diag([0.5, 0, 0, 0.5]), atol=1e-12)
+        states = PairStates(IDEAL)  # branch e1 = 0: a Z-basis attack on the distribution hop
+        np.testing.assert_allclose(
+            states("emitted", 0, 0, -1), bell_density(BellLabel.PHI_PLUS), atol=1e-12
+        )
+        stored = states("stored_both", 0, 0, -1)
+        np.testing.assert_allclose(stored, np.diag([0.5, 0, 0, 0.5]), atol=1e-12)
 
     def test_trace_is_deterministic(self):
-        r1 = run_session(IDEAL, "01" * 10, seed=19, capture_trace=True)
-        r2 = run_session(IDEAL, "01" * 10, seed=19, capture_trace=True)
-        for (l1, s1), (l2, s2) in zip(r1.trace.stages, r2.trace.stages):
-            assert l1 == l2
-            np.testing.assert_array_equal(s1, s2)
-
-    def test_trace_not_captured_by_default(self):
-        assert run_session(IDEAL, "01", seed=20).trace is None
+        s1, s2 = PairStates(IDEAL), PairStates(IDEAL)
+        for label in STAGE_LABELS:
+            np.testing.assert_array_equal(s1(label, -1, 1, -1), s2(label, -1, 1, -1))
 
 
 class TestExhaustiveRoundTrip:
