@@ -32,6 +32,7 @@ from .core import (
     fidelity,
 )
 from .measurement import OUTCOME_LABELS, LocalBasis, outcome_probs, sample_counts
+from .rng import spawn_children
 
 #: Canonical measurement-setting order: the row order of every dataset.
 BASES = (LocalBasis.Z, LocalBasis.X, LocalBasis.Y)
@@ -198,9 +199,15 @@ def fidelity_with_error(
     inversion against the pure target.  The error bar is the sample standard
     deviation of that statistic over parametric-bootstrap resamples: each
     resample redraws every setting's counts from the observed frequencies at
-    the original shot count, from its own child of ``rng``.  All resamples
-    are inverted, projected and scored as one ``(resamples, 9, 4)`` stack.
-    Exact (infinite-shot) datasets report sigma zero.
+    the original shot count, from its own child of ``rng``: resample ``i``
+    uses the child ``rng.spawn(resamples)[i]`` would give, derived by
+    ``spawn_children``.  All resamples are inverted, projected and scored
+    as one ``(resamples, 9, 4)`` stack.  Exact (infinite-shot) datasets
+    report sigma zero.
+
+    Unlike ``rng.spawn``, this does not advance ``rng``'s spawn counter (it
+    is read-only), so repeated calls with one generator return equal
+    reports.
 
     Args:
         data: Tomography dataset.
@@ -220,7 +227,7 @@ def fidelity_with_error(
     if rng is None:
         rng = np.random.default_rng(0)
     freqs = data.frequencies()
-    counts = np.stack([child.multinomial(data.shots_per_basis, freqs) for child in rng.spawn(resamples)])
+    counts = np.stack([child.multinomial(data.shots_per_basis, freqs) for child in spawn_children(rng, resamples)])
     values = fidelity(project_physical(_invert(counts)), target)
     return FidelityReport(fidelity=point, sigma=float(np.std(values, ddof=1)), resamples=resamples)
 

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import reference_tomography as reference
 from qsdc.core import (
     PAULI_Z,
     BellLabel,
@@ -225,6 +226,19 @@ class TestFidelityWithError:
         r1 = fidelity_with_error(data, bell_state(BellLabel.PHI_PLUS), rng=np.random.default_rng(13))
         r2 = fidelity_with_error(data, bell_state(BellLabel.PHI_PLUS), rng=np.random.default_rng(13))
         assert r1 == r2
+
+    def test_reuses_children_of_one_generator(self):
+        # The batched children leave the parent's spawn counter where it was,
+        # so a second call with the same generator redraws the same resamples.
+        target = bell_state(BellLabel.PHI_PLUS)
+        data = simulate_tomography(werner(0.9), 1000, np.random.default_rng(12))
+        rng = np.random.default_rng(14)
+        r1 = fidelity_with_error(data, target, rng=rng)
+        r2 = fidelity_with_error(data, target, rng=rng)
+        ref_data = reference.simulate_tomography(werner(0.9), 1000, np.random.default_rng(12))
+        expected = reference.fidelity_with_error(ref_data, target, rng=np.random.default_rng(14))
+        assert repr(r1) == repr(r2) == repr(expected)
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
 
     def test_rejects_too_few_resamples(self):
         data = exact_tomography(werner(0.9))
