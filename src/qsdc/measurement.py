@@ -52,6 +52,15 @@ _JOINT_KETS = {
 }
 
 
+def _project(state: NDArray[np.complex128], kets: NDArray[np.complex128]) -> NDArray[np.float64]:
+    """Probabilities ``<k| rho |k>`` of the four ``kets`` rows, clipped at zero."""
+    rho = np.asarray(state, dtype=complex)
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected 4x4 density matrices, got shape {rho.shape}")
+    probs = np.einsum("ki,...ij,kj->...k", kets.conj(), rho, kets).real
+    return np.clip(probs, 0.0, None)
+
+
 def outcome_probs(state: NDArray[np.complex128], basis_a: LocalBasis, basis_b: LocalBasis) -> NDArray[np.float64]:
     """Joint outcome distribution of independent local measurements.
 
@@ -66,12 +75,7 @@ def outcome_probs(state: NDArray[np.complex128], basis_a: LocalBasis, basis_b: L
         zero against floating-point dust; the sum equals the trace of the
         state.  Each stacked result equals the one-matrix result bit for bit.
     """
-    rho = np.asarray(state, dtype=complex)
-    if rho.shape[-2:] != (4, 4):
-        raise ValueError(f"expected 4x4 density matrices, got shape {rho.shape}")
-    kets = _JOINT_KETS[(basis_a, basis_b)]
-    probs = np.einsum("ki,...ij,kj->...k", kets.conj(), rho, kets).real
-    return np.clip(probs, 0.0, None)
+    return _project(state, _JOINT_KETS[(basis_a, basis_b)])
 
 
 def sample_counts(probs: NDArray[np.float64], shots: int, rng: np.random.Generator) -> NDArray[np.int64]:
@@ -116,11 +120,7 @@ def bell_overlaps(state: NDArray[np.complex128]) -> NDArray[np.float64]:
     ``state`` is a 4x4 density matrix or a ``(..., 4, 4)`` stack of them;
     each stacked result equals the one-matrix result bit for bit.
     """
-    rho = np.asarray(state, dtype=complex)
-    if rho.shape[-2:] != (4, 4):
-        raise ValueError(f"expected 4x4 density matrices, got shape {rho.shape}")
-    probs = np.einsum("ki,...ij,kj->...k", _BELL_KETS.conj(), rho, _BELL_KETS).real
-    return np.clip(probs, 0.0, None)
+    return _project(state, _BELL_KETS)
 
 
 def resolve_outcomes(probs: NDArray[np.float64], u: ArrayLike, rows: ArrayLike = 0) -> NDArray[np.int8]:

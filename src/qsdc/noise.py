@@ -119,7 +119,7 @@ class MemorySpec:
 
     def efficiency(self, duration_ns: float) -> float:
         """Retrieval probability after holding for ``duration_ns``."""
-        if duration_ns < 0.0:
+        if not (duration_ns >= 0.0):
             raise ValueError(f"duration must be non-negative, got {duration_ns}")
         if math.isinf(self.tau_ns):
             return self.eta0

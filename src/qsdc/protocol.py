@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.typing import ArrayLike, NDArray
+from numpy.typing import NDArray
 
 from .core import (
     SIDES,
@@ -175,9 +175,9 @@ class SessionConfig:
             )
         if not (0.0 < self.qber_threshold < 1.0):
             raise ValidationError(f"qber_threshold must lie in (0, 1), got {self.qber_threshold}")
-        if self.distance_m < 0.0:
+        if not (self.distance_m >= 0.0):
             raise ValidationError(f"distance_m must be non-negative, got {self.distance_m}")
-        if self.op_time_ns < 0.0:
+        if not (self.op_time_ns >= 0.0):
             raise ValidationError(f"op_time_ns must be non-negative, got {self.op_time_ns}")
         if not (self.light_speed_m_per_ns > 0.0):
             raise ValidationError(
@@ -189,7 +189,7 @@ class SessionConfig:
             raise ValidationError("memory_a and memory_b must be MemorySpec instances")
         if not (0.0 <= self.transmittance <= 1.0):
             raise ValidationError(f"transmittance must lie in [0, 1], got {self.transmittance}")
-        if self.storage_a_ns < 0.0 or self.storage_b_ns < 0.0:
+        if not (self.storage_a_ns >= 0.0 and self.storage_b_ns >= 0.0):
             raise ValidationError("storage durations must be non-negative")
         if not isinstance(self.bsm_mode, BsmMode):
             raise ValidationError(f"bsm_mode must be a BsmMode, got {self.bsm_mode!r}")
@@ -298,7 +298,7 @@ class AbortStage(enum.Enum):
 
 
 #: Stage labels of the pair pipeline, in order.
-STAGE_LABELS = ("emitted", "stored_both", "retrieved_sender", "retrieved_both", "encoded")
+STAGE_LABELS = ("emitted", "stored_both", "retrieved_sender", "encoded")
 
 #: Basis index 0 is Z and 1 is X, for the attacker and the first check alike.
 _ZX_BASES = (LocalBasis.Z, LocalBasis.X)
@@ -307,81 +307,63 @@ _ENCODE_UNITARIES = np.stack([encode_unitary(code) for code in TwoBitCode])
 
 
 class PairStates:
-    """The state table of the pair pipeline for one configuration.
+    """The exact states and outcome tables of every branch of one configuration.
 
-    ``table(stage, e1, code, e2)`` stacks the exact 4x4 states of discrete
-    branches after ``stage`` (one of ``STAGE_LABELS``) into a ``(K, 4, 4)``
-    array, row ``i`` for branch ``(e1[i], code[i], e2[i])`` (scalars
-    broadcast).  A branch is the intercept-resend basis on the distribution
-    hop ``e1`` (-1 for no attack, 0 for Z, 1 for X), the code index ``code``
-    (see :class:`EncodedMessage`) and the attack basis on the encoded hop
-    ``e2``:
+    A branch is the intercept-resend basis on the distribution hop ``e1``
+    (-1 for no attack, 0 for Z, 1 for X), the code index ``code`` (see
+    :class:`EncodedMessage`) and the attack basis on the encoded hop ``e2``.
+    The stages of ``STAGE_LABELS`` are:
 
     * ``emitted``: phi+ after source noise on side A;
     * ``stored_both``: then the attack on the distribution hop (side B);
     * ``retrieved_sender``: then sender-memory dephasing (side A);
-    * ``retrieved_both``: an unencoded pair after the encoded-hop attack,
-      hop noise (A) and receiver-memory dephasing (B);
-    * ``encoded``: the same path with the code's unitary applied on A
-      first, i.e. the pair as it enters the Bell analyzer.
+    * ``encoded``: then the code's unitary (A), the encoded-hop attack (A),
+      hop noise (A) and receiver-memory dephasing (B), i.e. the pair as it
+      enters the Bell analyzer.
 
-    The call ``states(stage, e1, code, e2)`` is row 0 of a one-branch table;
-    ``qsdc tomo`` and the tests inspect one branch's stages through it.
+    The constructor builds every branch at every stage, with one stacked
+    call per pipeline step (one per attack basis for an attack), and the two
+    outcome tables a session resolves its pairs against, indexed by branch
+    key:
 
-    Loss is heralded, so these are the surviving-path states.  The prefix
-    up to ``retrieved_sender`` is built on first use for each ``e1`` asked
-    for and shared by later calls on the same object; a session builds its
-    own object, so nothing is cached across sessions.  Later stages are
-    built for the requested rows only, with one stacked call per step (one
-    per attack basis for the encoded-hop attack).  Returned arrays are fresh.
+    * ``check``, ``(6, 4)``: row ``(e1 + 1) * 2 + x`` holds the first
+      check's joint outcome probabilities after ``retrieved_sender``, with
+      both sides measured in Z (``x`` 0) or X (``x`` 1);
+    * ``analyzer``, ``(36, 4)``: row ``(code * 3 + e1 + 1) * 3 + e2 + 1``
+      holds the ``encoded`` state's Bell overlaps.
+
+    The call ``states(stage, e1, code, e2)`` returns a fresh copy of one
+    branch's state; ``qsdc tomo`` and the tests inspect branches through it.
+    Loss is heralded, so these are the surviving-path states.
     """
 
     def __init__(self, config: SessionConfig) -> None:
-        self._dephase_a = ChannelSpec(NoiseKind.DEPHASING, config.memory_a.dephase_p)
-        self._dephase_b = ChannelSpec(NoiseKind.DEPHASING, config.memory_b.dephase_p)
-        self._hop_noise = config.hop_noise
-        self._emitted = apply_channel(config.source_noise, "A", bell_density(BellLabel.PHI_PLUS))
-        # Prefix states, row e1 + 1; a row is valid once ``_built`` says so.
-        self._stored = np.empty((3, 4, 4), dtype=complex)
-        self._retrieved = np.empty((3, 4, 4), dtype=complex)
-        self._built = np.zeros(3, dtype=bool)
+        dephase_a = ChannelSpec(NoiseKind.DEPHASING, config.memory_a.dephase_p)
+        dephase_b = ChannelSpec(NoiseKind.DEPHASING, config.memory_b.dephase_p)
+        emitted = apply_channel(config.source_noise, "A", bell_density(BellLabel.PHI_PLUS))
+        stored = np.stack([emitted, *(intercept_resend(emitted, "B", b) for b in _ZX_BASES)])
+        retrieved = apply_channel(dephase_a, "A", stored)
+        # Axes [code, e1 + 1, e2 + 1]; every stage is broadcast to them.
+        rho = apply_local(_ENCODE_UNITARIES[:, None], "A", retrieved)
+        rho = np.stack([rho, *(intercept_resend(rho, "A", b) for b in _ZX_BASES)], axis=2)
+        encoded = apply_channel(dephase_b, "B", apply_channel(config.hop_noise, "A", rho))
+        stages = (emitted, stored[:, None], retrieved[:, None], encoded)
+        self._stages = {
+            label: np.broadcast_to(states, encoded.shape)
+            for label, states in zip(STAGE_LABELS, stages)
+        }
+        probs = [outcome_probs(retrieved, basis, basis) for basis in _ZX_BASES]
+        self.check = np.stack(probs, axis=1).reshape(6, 4)
+        self.analyzer = bell_overlaps(encoded).reshape(36, 4)
 
     def __call__(
         self, stage: str, e1: int = -1, code: int = 0, e2: int = -1
     ) -> NDArray[np.complex128]:
-        return self.table(stage, e1, code, e2)[0]
-
-    def table(
-        self, stage: str, e1: ArrayLike, code: ArrayLike = 0, e2: ArrayLike = -1
-    ) -> NDArray[np.complex128]:
-        """The ``(K, 4, 4)`` stack of branch states after ``stage`` (see above)."""
-        if stage not in STAGE_LABELS:
+        if stage not in self._stages:
             raise ValueError(f"unknown stage {stage!r}; expected one of {STAGE_LABELS}")
-        e1, code, e2 = np.broadcast_arrays(np.atleast_1d(e1), code, e2)
-        if stage == "emitted":
-            return np.repeat(self._emitted[None], e1.size, axis=0)
-        rows = e1 + 1
-        new = np.flatnonzero((np.bincount(rows, minlength=3) > 0) & ~self._built)
-        if new.size:
-            for r in new.tolist():
-                self._stored[r] = (
-                    intercept_resend(self._emitted, "B", _ZX_BASES[r - 1]) if r else self._emitted
-                )
-            self._retrieved[new] = apply_channel(self._dephase_a, "A", self._stored[new])
-            self._built[new] = True
-        if stage == "stored_both":
-            return self._stored[rows]
-        rho = self._retrieved[rows]
-        if stage == "retrieved_sender":
-            return rho
-        if stage == "encoded":
-            rho = apply_local(_ENCODE_UNITARIES[code], "A", rho)
-        for e, basis in enumerate(_ZX_BASES):
-            at = e2 == e
-            if at.any():
-                rho[at] = intercept_resend(rho[at], "A", basis)
-        rho = apply_channel(self._hop_noise, "A", rho)
-        return apply_channel(self._dephase_b, "B", rho)
+        if not (-1 <= e1 <= 1 and 0 <= code <= 3 and -1 <= e2 <= 1):
+            raise ValueError(f"no branch (e1={e1}, code={code}, e2={e2})")
+        return self._stages[stage][code, e1 + 1, e2 + 1].copy()
 
 
 @dataclass(frozen=True)
@@ -422,35 +404,20 @@ def _draw_eve_bases(policy: BasisPolicy, n: int, rng: np.random.Generator) -> ND
     return rng.integers(0, 2, size=n).astype(np.int8)
 
 
-def _present(key: NDArray[np.integer], n_keys: int) -> tuple[NDArray[np.intp], NDArray[np.int8]]:
-    """The distinct values of ``key`` (ascending) and each entry's row among them."""
-    present = np.flatnonzero(np.bincount(key, minlength=n_keys))
-    row_of = np.zeros(n_keys, dtype=np.int8)
-    row_of[present] = np.arange(present.size)
-    return present, row_of[key]
-
-
 def _check1_qber(
     states: PairStates, check: NDArray[np.bool_], eve1: NDArray[np.int8], seed: int
 ) -> float:
     """Sampled error rate of the pre-encoding check over the pairs in ``check``.
 
     Both halves of a check pair are measured in one shared basis, Z or X
-    with equal probability; an error is a disagreement.  Each ``(e1, basis)``
-    branch present is one row of an outcome table, and every pair is
+    with equal probability; an error is a disagreement.  Each pair's
+    ``(e1, basis)`` key is its row of ``states.check``, and every pair is
     resolved in one gathered call.  NaN when no pair took part.
     """
     n = check.size
     x_basis = stream_rng(seed, "check_basis").random(n)[check] >= 0.5
     u = stream_rng(seed, "check_outcome").random(n)[check]
-    present, rows = _present((eve1[check] + 1) * 2 + x_basis, 6)
-    probs = np.empty((present.size, 4))
-    for x, basis in enumerate(_ZX_BASES):
-        at = present % 2 == x
-        if at.any():
-            rho = states.table("retrieved_sender", present[at] // 2 - 1)
-            probs[at] = outcome_probs(rho, basis, basis)
-    k = resolve_outcomes(probs, u, rows)
+    k = resolve_outcomes(states.check, u, (eve1[check] + 1) * 2 + x_basis)
     errors = int(np.count_nonzero((k == 1) | (k == 2)))  # outcomes +- and -+
     return errors / u.size if u.size else float("nan")
 
@@ -469,8 +436,8 @@ def _decode_pairs(
 
     Message groups go, in pair order, to the message slots whose sender
     memory returned its qubit; slots beyond the last group carry nothing.
-    Each ``(code, e1, e2)`` branch present is one row of a Bell-overlap
-    table, and every pair is resolved in one gathered call.
+    Each pair's ``(code, e1, e2)`` key is its row of ``states.analyzer``,
+    and every pair is resolved in one gathered call.
 
     Returns:
         ``(qber2, lost, decoded, groups, erasures)``: the decoy error rate
@@ -496,11 +463,8 @@ def _decode_pairs(
     code[~decoy] = codes[group[~decoy]]
     u = stream_rng(seed, "bsm").random(n)[at_bsm]
 
-    present, rows = _present((code * 3 + eve1[at_bsm] + 1) * 3 + eve2[at_bsm] + 1, 36)
-    branch_code, rest = np.divmod(present, 9)
-    e1, e2 = np.divmod(rest, 3)
-    overlaps = bell_overlaps(states.table("encoded", e1 - 1, branch_code, e2 - 1))
-    k = resolve_bsm(overlaps, config.bsm_mode, u, rows)
+    rows = (code * 3 + eve1[at_bsm] + 1) * 3 + eve2[at_bsm] + 1
+    k = resolve_bsm(states.analyzer, config.bsm_mode, u, rows)
 
     erased = k == ERASURE
     compared = decoy & ~erased

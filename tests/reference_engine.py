@@ -37,7 +37,6 @@ from qsdc.errors import CapacityError, TimingError
 from qsdc.measurement import BsmMode, LocalBasis, basis_kets, bell_overlaps, outcome_probs
 from qsdc.noise import ChannelSpec, NoiseKind
 from qsdc.protocol import (
-    STAGE_LABELS,
     AbortStage,
     BasisPolicy,
     EveKind,
@@ -235,6 +234,9 @@ def estimate_qber(records: Iterable[CheckRecord]) -> float:
 
 _CODE_LIST = tuple(TwoBitCode)
 _EVE_BASIS = {0: LocalBasis.Z, 1: LocalBasis.X}
+#: The stage names ``branch_state`` answers to, frozen with the oracle.
+#: ``retrieved_both`` is an unencoded pair that has crossed the encoded hop.
+STAGES = ("emitted", "stored_both", "retrieved_sender", "retrieved_both", "encoded")
 
 
 def branch_state(
@@ -248,16 +250,16 @@ def branch_state(
     no attack, 0 for Z, 1 for X).
     """
     rho = apply_channel(config.source_noise, "A", bell_density(BellLabel.PHI_PLUS))
-    if stage == STAGE_LABELS[0]:
+    if stage == STAGES[0]:
         return rho
     if e1 >= 0:
         rho = intercept_resend(rho, "B", _EVE_BASIS[e1])
-    if stage == STAGE_LABELS[1]:
+    if stage == STAGES[1]:
         return rho
     rho = apply_channel(ChannelSpec(NoiseKind.DEPHASING, config.memory_a.dephase_p), "A", rho)
-    if stage == STAGE_LABELS[2]:
+    if stage == STAGES[2]:
         return rho
-    if stage == STAGE_LABELS[4]:
+    if stage == STAGES[4]:
         rho = apply_local(encode_unitary(_CODE_LIST[code]), "A", rho)
     if e2 >= 0:
         rho = intercept_resend(rho, "A", _EVE_BASIS[e2])

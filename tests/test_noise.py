@@ -161,6 +161,11 @@ class TestMemorySpec:
         with pytest.raises(ValueError):
             MemorySpec().efficiency(-1.0)
 
+    @pytest.mark.parametrize("tau_ns", [math.inf, 500.0])
+    def test_efficiency_rejects_nan_duration(self, tau_ns):
+        with pytest.raises(ValueError):
+            MemorySpec(tau_ns=tau_ns).efficiency(math.nan)
+
 
 def _session(seed=3, message="01" * 20, **changes):
     """One session whose losses come only from the changed memory or hop."""

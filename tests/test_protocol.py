@@ -70,6 +70,11 @@ class TestSessionConfigValidation:
         with pytest.raises(ValidationError):
             dataclasses.replace(IDEAL, **changes)
 
+    @pytest.mark.parametrize("field", ["distance_m", "op_time_ns", "storage_a_ns", "storage_b_ns"])
+    def test_rejects_nan(self, field):
+        with pytest.raises(ValidationError):
+            dataclasses.replace(IDEAL, **{field: math.nan})
+
 
 class TestPlanTiming:
     def test_default_geometry_is_exactly_feasible(self):
@@ -356,13 +361,18 @@ class TestTrace:
     def test_stage_labels_and_ideal_states(self):
         states = PairStates(IDEAL)
         phi = bell_density(BellLabel.PHI_PLUS)
-        for label in STAGE_LABELS[:4]:
+        for label in STAGE_LABELS[:3]:  # the stages before encoding
             np.testing.assert_allclose(states(label, -1, 2, -1), phi, atol=1e-12)
         np.testing.assert_allclose(
             states("encoded", -1, 2, -1), bell_density(BellLabel.PSI_PLUS), atol=1e-12
         )
         with pytest.raises(ValueError, match="unknown stage"):
             states("decoded")
+
+    @pytest.mark.parametrize("branch", [(-2, 0, -1), (-1, -1, -1), (-1, 4, -1), (-1, 0, 2)])
+    def test_rejects_unknown_branch(self, branch):
+        with pytest.raises(ValueError, match="no branch"):
+            PairStates(IDEAL)("encoded", *branch)
 
     def test_attack_shows_up_at_storage_stage(self):
         states = PairStates(IDEAL)  # branch e1 = 0: a Z-basis attack on the distribution hop

@@ -8,14 +8,16 @@ surviving slots both occur), both engines must return equal results: every
 ``PairStates`` must also give a randomly drawn branch the reference's state
 bit for bit at every stage.
 
-``PairStates``' stacked branch table must also equal the reference's
-one-matrix states (``reference_engine.branch_state``) bit for bit, for every
-branch key the engine can meet, under random noise; and the stack-aware
+``PairStates``' ``check`` and ``analyzer`` tables and its states must also
+equal the reference's one-matrix states (``reference_engine.branch_state``)
+and their outcome probabilities bit for bit, for every branch key the
+engine can meet, under random noise; and the stack-aware
 state functions must equal the reference's original one-matrix functions bit
 for bit on random states, one matrix or a whole stack at a time.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -103,7 +105,7 @@ def test_matches_reference_engine(session, branch):
 
 # Every (code, e1, e2) analyzer key and every (e1, basis) check key, in the
 # engine's key order.
-ANALYZER_KEYS = np.array([(c, e1, e2) for c in range(4) for e1 in (-1, 0, 1) for e2 in (-1, 0, 1)])
+ANALYZER_KEYS = [(c, e1, e2) for c in range(4) for e1 in (-1, 0, 1) for e2 in (-1, 0, 1)]
 CHECK_KEYS = [(e1, basis) for e1 in (-1, 0, 1) for basis in (LocalBasis.Z, LocalBasis.X)]
 
 
@@ -111,29 +113,27 @@ CHECK_KEYS = [(e1, basis) for e1 in (-1, 0, 1) for basis in (LocalBasis.Z, Local
 @given(channels, channels, memories, memories)
 def test_pair_state_table_matches_reference(source, hop, memory_a, memory_b):
     config = SessionConfig(source_noise=source, hop_noise=hop, memory_a=memory_a, memory_b=memory_b)
-    code, e1, e2 = ANALYZER_KEYS.T
-    table = PairStates(config).table("encoded", e1, code, e2)
-    assert table.shape == (36, 4, 4)
-    overlaps = bell_overlaps(table)
-    for row, key in enumerate(ANALYZER_KEYS.tolist()):
-        expected = reference_engine.branch_state(config, "encoded", key[1], key[0], key[2])
-        assert table[row].tobytes() == expected.tobytes()
-        assert overlaps[row].tobytes() == bell_overlaps(expected).tobytes()
-
     states = PairStates(config)
-    check = states.table("retrieved_sender", [e1 for e1, _ in CHECK_KEYS])
-    for basis in (LocalBasis.Z, LocalBasis.X):
-        probs = outcome_probs(check, basis, basis)
-        for row, (e1, _) in enumerate(CHECK_KEYS):
-            expected = reference_engine.branch_state(config, "retrieved_sender", e1)
-            assert check[row].tobytes() == expected.tobytes()
-            assert probs[row].tobytes() == outcome_probs(expected, basis, basis).tobytes()
+    assert states.analyzer.shape == (36, 4)
+    for row, (c, e1, e2) in enumerate(ANALYZER_KEYS):
+        expected = reference_engine.branch_state(config, "encoded", e1, c, e2)
+        assert states.analyzer[row].tobytes() == bell_overlaps(expected).tobytes()
 
-    # The scalar call is one row of the same table, at every stage.
+    assert states.check.shape == (6, 4)
+    for row, (e1, basis) in enumerate(CHECK_KEYS):
+        expected = reference_engine.branch_state(config, "retrieved_sender", e1)
+        assert states.check[row].tobytes() == outcome_probs(expected, basis, basis).tobytes()
+
+    # The scalar call reads the same arrays, at every stage.
     for label in STAGE_LABELS:
-        for c, a, b in ANALYZER_KEYS.tolist():
+        for c, a, b in ANALYZER_KEYS:
             expected = reference_engine.branch_state(config, label, a, c, b)
             assert states(label, a, c, b).tobytes() == expected.tobytes()
+
+    # An unencoded pair that crossed the encoded hop is code 0's encoded state.
+    for a, b in itertools.product((-1, 0, 1), repeat=2):
+        expected = reference_engine.branch_state(config, "retrieved_both", a, 0, b)
+        assert states("encoded", a, 0, b).tobytes() == expected.tobytes()
 
 
 def test_state_functions_match_reference():
