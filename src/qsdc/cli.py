@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
-from .config import SWEEP_KEYS, SweepSpec, load_config, parse_config_text, build_settings
+from .config import SWEEP_KEYS, parse_config_text, build_settings
 from .core import BELL_ORDER, BellLabel, bell_state, density_to_csv
 from .errors import CapacityError, ConfigParseError, QsdcError, TimingError, ValidationError
 # ``apply_channel`` is no longer called here, but stays importable from this
@@ -80,57 +81,76 @@ def _read_config(path: str) -> str:
 
 
 def _load_settings(path: str):
-    return load_config(_read_config(path), seed_override=_seed_override())
+    text = _read_config(path)
+    override = _seed_override()
+    return build_settings(parse_config_text(text), seed_override=override)
+
+
+def _emit_sessions(columns: str, jobs: list) -> int:
+    """Run every ``(label, config, message, seed)`` job, then print the CSV.
+
+    Every session runs before anything is printed, so a failing job leaves
+    stdout empty.  Each row is the job's label followed by its result row.
+    """
+    rows = [
+        label + result_csv_row(config, run_session(config, message, seed), seed)
+        for label, config, message, seed in jobs
+    ]
+    print("\n".join([columns + result_csv_header(), *rows]))
+    return EXIT_OK
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     settings = _load_settings(args.config)
-    result = run_session(settings.config, settings.message, settings.seed)
-    print(result_csv_header())
-    print(result_csv_row(settings.config, result, settings.seed))
-    return EXIT_OK
+    return _emit_sessions("", [("", settings.config, settings.message, settings.seed)])
 
 
-def _parse_grid(text: str) -> tuple[float, ...]:
-    parts = text.split(":")
+def _sweep_values(param: str, grid: str) -> list:
+    """The points of ``--grid START:STOP:STEPS`` for ``param``, cast to its type."""
+    parts = grid.split(":")
     if len(parts) != 3:
-        raise ConfigParseError(f"--grid expects START:STOP:STEPS, got {text!r}")
+        raise ConfigParseError(f"--grid expects START:STOP:STEPS, got {grid!r}")
     try:
         start, stop = float(parts[0]), float(parts[1])
         steps = int(parts[2])
     except ValueError:
-        raise ConfigParseError(f"--grid expects numbers START:STOP:STEPS, got {text!r}") from None
+        raise ConfigParseError(f"--grid expects numbers START:STOP:STEPS, got {grid!r}") from None
     if steps < 1:
         raise ValidationError(f"--grid needs at least one step, got {steps}")
+    if param not in SWEEP_KEYS:
+        valid = ", ".join(sorted(SWEEP_KEYS))
+        raise ValidationError(f"cannot sweep {param!r}; numeric keys are: {valid}")
     if steps == 1:
-        return (start,)
-    width = (stop - start) / (steps - 1)
-    return tuple(start + k * width for k in range(steps))
+        points = (start,)
+    else:
+        width = (stop - start) / (steps - 1)
+        points = tuple(start + k * width for k in range(steps))
+    if any(math.isnan(value) for value in points):
+        raise ValidationError(f"--grid values must be numbers, got {points}")
+    if SWEEP_KEYS[param] is not int:
+        return list(points)
+    if not all(map(math.isfinite, points)):
+        raise ValidationError(
+            f"--grid values for integer key {param!r} must be finite, got {points}"
+        )
+    return [int(round(value)) for value in points]
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     base_values = parse_config_text(_read_config(args.config))
-    spec = SweepSpec(param=args.param, grid=_parse_grid(args.grid), trials=args.trials)
-    caster = SWEEP_KEYS[spec.param]
+    values = _sweep_values(args.param, args.grid)
+    if args.trials < 1:
+        raise ValidationError(f"trials must be positive, got {args.trials}")
     override = _seed_override()
-    # Validate every grid point, and run every session, before emitting
-    # anything: a failing point leaves stdout empty rather than a partial CSV.
-    values = [int(round(raw)) if caster is int else float(raw) for raw in spec.grid]
-    points = [
-        build_settings({**base_values, spec.param: value}, seed_override=override) for value in values
-    ]
-    lines = ["param,value,trial," + result_csv_header()]
-    for point_idx, (value, settings) in enumerate(zip(values, points)):
-        value_text = str(value) if caster is int else _fmt(value)
-        for trial in range(spec.trials):
+    jobs = []
+    for point_idx, value in enumerate(values):
+        settings = build_settings({**base_values, args.param: value}, seed_override=override)
+        value_text = str(value) if isinstance(value, int) else _fmt(value)
+        for trial in range(args.trials):
             trial_seed = derive_seed(settings.seed, point_idx, trial)
-            result = run_session(settings.config, settings.message, trial_seed)
-            lines.append(
-                f"{spec.param},{value_text},{trial},"
-                + result_csv_row(settings.config, result, trial_seed)
-            )
-    print("\n".join(lines))
-    return EXIT_OK
+            label = f"{args.param},{value_text},{trial},"
+            jobs.append((label, settings.config, settings.message, trial_seed))
+    return _emit_sessions("param,value,trial,", jobs)
 
 
 def _cmd_tomo(args: argparse.Namespace) -> int:
@@ -176,11 +196,11 @@ def _cmd_attack_demo(args: argparse.Namespace) -> int:
         settings.config,
         eve=EveStrategy(EveKind.INTERCEPT_RESEND, settings.config.eve.basis_policy),
     )
-    print("eve," + result_csv_header())
-    for label, cfg in (("none", quiet_cfg), ("intercept_resend", attacked_cfg)):
-        result = run_session(cfg, settings.message, settings.seed)
-        print(f"{label}," + result_csv_row(cfg, result, settings.seed))
-    return EXIT_OK
+    jobs = [
+        (f"{label},", cfg, settings.message, settings.seed)
+        for label, cfg in (("none", quiet_cfg), ("intercept_resend", attacked_cfg))
+    ]
+    return _emit_sessions("eve,", jobs)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -173,38 +173,3 @@ def build_settings(values: dict[str, object], seed_override: int | None = None) 
             raise ValidationError(f"message_random_bits must be positive, got {n_bits}")
         message = random_bits(seed, n_bits)
     return RunSettings(config=config, seed=seed, message=message)
-
-
-def load_config(text: str, seed_override: int | None = None) -> RunSettings:
-    """Parse and assemble in one step."""
-    return build_settings(parse_config_text(text), seed_override=seed_override)
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One-dimensional parameter sweep over repeated session runs.
-
-    Attributes:
-        param: Config key to vary (must be numeric).
-        grid: Values the parameter takes, in emission order.
-        trials: Independent seeded trials per grid point.
-    """
-
-    param: str
-    grid: tuple[float, ...]
-    trials: int
-
-    def __post_init__(self) -> None:
-        if self.param not in SWEEP_KEYS:
-            valid = ", ".join(sorted(SWEEP_KEYS))
-            raise ValidationError(f"cannot sweep {self.param!r}; numeric keys are: {valid}")
-        if len(self.grid) < 1:
-            raise ValidationError("sweep grid must contain at least one value")
-        if any(math.isnan(value) for value in self.grid):
-            raise ValidationError(f"--grid values must be numbers, got {self.grid}")
-        if SWEEP_KEYS[self.param] is int and not all(map(math.isfinite, self.grid)):
-            raise ValidationError(
-                f"--grid values for integer key {self.param!r} must be finite, got {self.grid}"
-            )
-        if self.trials < 1:
-            raise ValidationError(f"trials must be positive, got {self.trials}")

@@ -81,12 +81,9 @@ class TwoBitCode(enum.Enum):
 
 
 #: Public encoding agreement: which Bell state announces which bit group.
-CODE_TO_BELL = {
-    TwoBitCode.B00: BellLabel.PHI_PLUS,
-    TwoBitCode.B01: BellLabel.PHI_MINUS,
-    TwoBitCode.B10: BellLabel.PSI_PLUS,
-    TwoBitCode.B11: BellLabel.PSI_MINUS,
-}
+#: Code index ``k`` (``tuple(TwoBitCode)[k]``) announces ``BELL_ORDER[k]``;
+#: the engine's code-indexed tables rely on this.
+CODE_TO_BELL = dict(zip(TwoBitCode, BELL_ORDER))
 
 BELL_TO_CODE = {bell: code for code, bell in CODE_TO_BELL.items()}
 

@@ -207,6 +207,10 @@ class SessionConfig:
             )
         if not (self.period_ms > 0.0):
             raise ValidationError(f"period_ms must be positive, got {self.period_ms}")
+        if not (self.period_ms * 1e-3 > 0.0):
+            raise ValidationError(
+                f"period_ms is too small to express in seconds, got {self.period_ms}"
+            )
         if self.duty_cycles_per_period * self.cycle_time_ns > self.period_ms * 1e6:
             raise ValidationError(
                 "active window exceeds the duty period: "

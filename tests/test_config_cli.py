@@ -13,9 +13,7 @@ from qsdc.cli import main
 from qsdc.config import (
     KEY_PARSERS,
     SWEEP_KEYS,
-    SweepSpec,
     build_settings,
-    load_config,
     parse_config_text,
 )
 from qsdc.core import density_from_csv, validate_physical
@@ -100,14 +98,15 @@ class TestBuildSettings:
         assert settings.message == "01"
 
     def test_absent_keys_take_dataclass_defaults(self):
-        assert load_config("message = 01").config == SessionConfig()
-        config = load_config("memory_b_dephase_p = 0.25\neve_basis_policy = always_x\nmessage = 01").config
+        assert build_settings(parse_config_text("message = 01")).config == SessionConfig()
+        text = "memory_b_dephase_p = 0.25\neve_basis_policy = always_x\nmessage = 01"
+        config = build_settings(parse_config_text(text)).config
         assert config == SessionConfig(
             memory_b=MemorySpec(dephase_p=0.25), eve=EveStrategy(basis_policy=BasisPolicy.ALWAYS_X)
         )
 
     def test_full_round_trip(self):
-        settings = load_config(GOOD_CONFIG)
+        settings = build_settings(parse_config_text(GOOD_CONFIG))
         assert settings.config.source_noise.p == 0.05
         assert settings.config.memory_b.tau_ns == math.inf
         assert settings.seed == 42
@@ -186,7 +185,7 @@ class TestSchema:
         assert set(defaults) == set(KEY_PARSERS) - RUN_KEYS
         for key, default in defaults.items():
             text = f"{key} = {_other_value(default)}\nmessage = 01\n"
-            got = _flat_leaves(load_config(text).config)
+            got = _flat_leaves(build_settings(parse_config_text(text)).config)
             changed = {k for k in defaults if got[k] != defaults[k]}
             assert changed == {key}
             assert type(got[key]) is type(default)
@@ -223,20 +222,6 @@ class TestSchema:
                 options = [part.split(",") if i % 2 else [part] for i, part in enumerate(parts)]
                 listed.update("".join(pick) for pick in itertools.product(*options))
         assert listed == set(KEY_PARSERS)
-
-
-class TestSweepSpec:
-    def test_rejects_unknown_param(self):
-        with pytest.raises(ValidationError, match="cannot sweep"):
-            SweepSpec(param="bsm_mode", grid=(1.0,), trials=1)
-
-    def test_rejects_empty_grid(self):
-        with pytest.raises(ValidationError, match="at least one"):
-            SweepSpec(param="transmittance", grid=(), trials=1)
-
-    def test_rejects_no_trials(self):
-        with pytest.raises(ValidationError, match="trials"):
-            SweepSpec(param="transmittance", grid=(0.5,), trials=0)
 
 
 @pytest.fixture
@@ -384,6 +369,16 @@ class TestCliSweep:
     def test_bad_grid_is_parse_error(self, config_file, capsys):
         assert main(["sweep", "-c", config_file, "--param", "n_pairs", "--grid", "1:2"]) == 2
         assert "START:STOP:STEPS" in capsys.readouterr().err
+        # The grid syntax is checked before the key.
+        assert main(["sweep", "-c", config_file, "--param", "bsm_mode", "--grid", "1:2"]) == 2
+        assert "START:STOP:STEPS" in capsys.readouterr().err
+
+    def test_no_trials_is_validation_error(self, config_file, capsys):
+        argv = ["sweep", "-c", config_file, "--param", "n_pairs", "--grid", "200:400:2"]
+        assert main([*argv, "--trials", "0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("validation error:") and "trials" in captured.err
 
     def test_unsweepable_param_is_validation_error(self, config_file, capsys):
         rc = main(["sweep", "-c", config_file, "--param", "bsm_mode", "--grid", "0:1:2"])
@@ -496,3 +491,19 @@ class TestCliAttackDemo:
         assert quiet[5] == "none" and float(quiet[3]) == 0.0
         assert attacked[5] == "check1"
         assert abs(float(attacked[3]) - 0.25) < 0.1
+
+    @pytest.mark.parametrize(
+        "text,code,message",
+        [
+            ("storage_a_ns = 10\nmessage = 01\n", 3, "timing"),
+            ("n_pairs = 100\nmessage_random_bits = 2000\n", 4, "capacity"),
+        ],
+        ids=["timing", "capacity"],
+    )
+    def test_failing_session_emits_nothing(self, tmp_path, capsys, text, code, message):
+        path = tmp_path / "attack.cfg"
+        path.write_text(text)
+        assert main(["attack-demo", "-c", str(path)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err

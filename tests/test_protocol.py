@@ -64,6 +64,8 @@ class TestSessionConfigValidation:
             {"duty_cycles_per_period": 0},
             {"period_ms": 0.0},
             {"duty_cycles_per_period": 2600, "cycle_time_ns": 5000.0, "period_ms": 10.0},
+            # one period is 0 s once in seconds: the bit rate would divide by zero
+            {"period_ms": 5e-324, "cycle_time_ns": 5e-324, "duty_cycles_per_period": 1000},
         ],
     )
     def test_rejects_bad_values(self, changes):
