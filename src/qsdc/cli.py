@@ -80,10 +80,20 @@ def _read_config(path: str) -> str:
         raise ConfigParseError(f"cannot read config file {path!r}: {exc}") from None
 
 
-def _load_settings(path: str):
+def _load_values(path: str) -> tuple[dict, int | None]:
+    """The parsed config and the ``QSDC_SEED`` override, for every subcommand.
+
+    Read in one order: the file, then ``QSDC_SEED``, then the config text,
+    so a bad file or a bad seed is reported before a bad config line.
+    """
     text = _read_config(path)
     override = _seed_override()
-    return build_settings(parse_config_text(text), seed_override=override)
+    return parse_config_text(text), override
+
+
+def _load_settings(path: str):
+    values, override = _load_values(path)
+    return build_settings(values, seed_override=override)
 
 
 def _emit_sessions(columns: str, jobs: list) -> int:
@@ -137,11 +147,10 @@ def _sweep_values(param: str, grid: str) -> list:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    base_values = parse_config_text(_read_config(args.config))
+    base_values, override = _load_values(args.config)
     values = _sweep_values(args.param, args.grid)
     if args.trials < 1:
         raise ValidationError(f"trials must be positive, got {args.trials}")
-    override = _seed_override()
     jobs = []
     for point_idx, value in enumerate(values):
         settings = build_settings({**base_values, args.param: value}, seed_override=override)

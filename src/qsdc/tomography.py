@@ -9,7 +9,8 @@ XZ, ...``), columns the outcomes ``(++, +-, -+, --)``.
 Linear inversion reconstructs the state from outcome frequencies; a simplex
 projection of the eigenvalue spectrum repairs the result into a physical
 density matrix; parametric bootstrap supplies a one-sigma error bar on any
-fidelity derived from counted data.  Inversion, projection and fidelity all
+fidelity derived from counted data, drawing every resample from one
+generator in one multinomial call.  Inversion, projection and fidelity all
 work on stacks, so the point estimate and every bootstrap resample go
 through the same three calls.
 """
@@ -32,7 +33,6 @@ from .core import (
     fidelity,
 )
 from .measurement import OUTCOME_LABELS, LocalBasis, outcome_probs, sample_counts
-from .rng import spawn_children
 
 #: Canonical measurement-setting order: the row order of every dataset.
 BASES = (LocalBasis.Z, LocalBasis.X, LocalBasis.Y)
@@ -199,15 +199,12 @@ def fidelity_with_error(
     inversion against the pure target.  The error bar is the sample standard
     deviation of that statistic over parametric-bootstrap resamples: each
     resample redraws every setting's counts from the observed frequencies at
-    the original shot count, from its own child of ``rng``: resample ``i``
-    uses the child ``rng.spawn(resamples)[i]`` would give, derived by
-    ``spawn_children``.  All resamples are inverted, projected and scored
-    as one ``(resamples, 9, 4)`` stack.  Exact (infinite-shot) datasets
-    report sigma zero.
-
-    Unlike ``rng.spawn``, this does not advance ``rng``'s spawn counter (it
-    is read-only), so repeated calls with one generator return equal
-    reports.
+    the original shot count.  All resamples come from one
+    ``rng.multinomial`` call of size ``(resamples, 9)``, resample by
+    resample and setting by setting, so the first ``k`` resamples do not
+    depend on ``resamples``; they are inverted, projected and scored as one
+    ``(resamples, 9, 4)`` stack.  Exact (infinite-shot) datasets report
+    sigma zero.
 
     Args:
         data: Tomography dataset.
@@ -226,8 +223,7 @@ def fidelity_with_error(
         return FidelityReport(fidelity=point, sigma=0.0, resamples=resamples)
     if rng is None:
         rng = np.random.default_rng(0)
-    freqs = data.frequencies()
-    counts = np.stack([child.multinomial(data.shots_per_basis, freqs) for child in spawn_children(rng, resamples)])
+    counts = rng.multinomial(data.shots_per_basis, data.frequencies(), size=(resamples, 9))
     values = fidelity(project_physical(_invert(counts)), target)
     return FidelityReport(fidelity=point, sigma=float(np.std(values, ddof=1)), resamples=resamples)
 

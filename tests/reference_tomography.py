@@ -184,8 +184,8 @@ def fidelity_with_error(
     inversion against the pure target.  The error bar is the sample standard
     deviation of that statistic over parametric-bootstrap resamples: each
     resample redraws every setting's counts from the observed frequencies at
-    the original shot count.  Exact (infinite-shot) datasets report sigma
-    zero.
+    the original shot count, one ``rng.multinomial`` call per setting,
+    resample by resample.  Exact (infinite-shot) datasets report sigma zero.
 
     Args:
         data: Tomography dataset.
@@ -209,11 +209,10 @@ def fidelity_with_error(
     if rng is None:
         rng = np.random.default_rng(0)
     shots = data.shots_per_basis
-    children = rng.spawn(resamples)
     values = np.empty(resamples)
-    for r, child in enumerate(children):
+    for r in range(resamples):
         counts = {
-            pair: child.multinomial(shots, data.frequencies(pair)).astype(float)
+            pair: rng.multinomial(shots, data.frequencies(pair)).astype(float)
             for pair in BASIS_PAIRS
         }
         values[r] = statistic(TomoDataset(shots_per_basis=shots, counts=counts))

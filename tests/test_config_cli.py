@@ -307,6 +307,18 @@ class TestCliErrorPaths:
         assert captured.err.startswith("config error:") and "bad.cfg" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv", [["run"], ["sweep", "--param", "n_pairs", "--grid", "200:400:2"]]
+    )
+    def test_bad_env_seed_is_reported_before_config_text(self, tmp_path, capsys, monkeypatch, argv):
+        path = tmp_path / "bad.cfg"
+        path.write_text("zzz = 1\nmessage = 01\n")
+        monkeypatch.setenv("QSDC_SEED", "x")
+        assert main([argv[0], "-c", str(path), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: QSDC_SEED must be an integer")
+        assert captured.out == ""
+
 
 class TestCliSweep:
     def test_grid_shape_and_determinism(self, config_file, capsys):

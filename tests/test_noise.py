@@ -276,12 +276,12 @@ class TestCalibrateNoise:
     def test_depolarizing_inverts_closed_form(self):
         for f in (0.931, 0.92, 0.87, 0.6, 0.3):
             p = calibrate_noise(f, NoiseKind.DEPOLARIZING)
-            assert p == pytest.approx(4.0 * (1.0 - f) / 3.0, abs=2e-5)
+            assert p == pytest.approx(4.0 * (1.0 - f) / 3.0, abs=1e-15)
 
     def test_dephasing_inverts_closed_form(self):
         for f in (0.95, 0.87, 0.55, 0.4):
             p = calibrate_noise(f, NoiseKind.DEPHASING)
-            assert p == pytest.approx(1.0 - f, abs=2e-5)
+            assert p == pytest.approx(1.0 - f, abs=1e-15)
 
     def test_round_trip_fidelity_within_tolerance(self):
         for kind, f in [(NoiseKind.DEPOLARIZING, 0.883), (NoiseKind.DEPHASING, 0.77)]:
